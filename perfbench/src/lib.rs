@@ -92,11 +92,11 @@ pub const PER_LAYER: [(&str, &str); 42] = [
 /// relative to the working directory.
 pub const OUT_DIR: &str = ".perfbench_out";
 
-/// `range_fit` splits its window over this many phases, each serving a
-/// fresh seeded corpus (the first from the seed itself), so one run
-/// averages over several corpora: query cost differs by up to 2× between
-/// corpora of the same size.
-pub const RANGE_PHASES: usize = 4;
+/// `range_fit` and `ingest_sharded` split their window over this many
+/// phases, each serving a fresh seeded corpus (the first from the seed
+/// itself), so one run averages over several corpora: query cost differs
+/// by up to 2× between corpora of the same size.
+pub const PHASES: usize = 4;
 /// Set-ups per untraced run; `setup_s` is their median.
 pub const SETUP_REPEATS: usize = 5;
 /// QUERY requests replayed by the traced run of a single-index workload.
@@ -342,7 +342,7 @@ fn closed_load(
     })
 }
 
-fn open_load(
+fn ingest_load(
     seed: u64,
     seconds: f64,
     addr: std::net::SocketAddr,
@@ -366,44 +366,36 @@ fn open_load(
     let (mut clients, _, _) = collect(outs, &mut ops);
     let host0 = sys::host_ticks();
     let cpu0 = sys::process_cpu_s();
+    // Connection A writes closed loop (its throughput is what the window
+    // measures); connection B queries open loop, timed from due time.
     let origin = Instant::now() + Duration::from_millis(10);
-    let mut inserts = insert_stream(seed);
+    let deadline = origin + Duration::from_secs_f64(seconds);
+    let mut writes = [write_stream(seed)];
     let mut queries = ingest_query_stream(seed);
     let c1 = clients.pop().expect("two connections");
     let c0 = clients.pop().expect("two connections");
     let (a, b) = std::thread::scope(|s| {
         let a = s.spawn(|| {
-            open_phase(
+            std::thread::sleep(origin.saturating_duration_since(Instant::now()));
+            closed_phase(
                 addr,
-                c0,
-                0,
-                &mut inserts,
-                INSERT_RATE,
+                vec![c0],
+                &mut writes,
+                &[0],
                 origin,
-                seconds,
-                |n| ((n + 1) % CHECKPOINT_EVERY == 0).then_some(Request::Checkpoint),
+                Until::Deadline(deadline),
+                true,
             )
         });
-        let b = s.spawn(|| {
-            open_phase(
-                addr,
-                c1,
-                1,
-                &mut queries,
-                QUERY_RATE,
-                origin,
-                seconds,
-                |_| None,
-            )
-        });
+        let b = s.spawn(|| open_phase(addr, c1, 1, &mut queries, QUERY_RATE, origin, seconds));
         (
-            a.join().expect("insert thread panicked"),
+            a.join().expect("write thread panicked"),
             b.join().expect("query thread panicked"),
         )
     });
     let cpu1 = sys::process_cpu_s();
     let steal_pct = sys::steal_pct(host0, sys::host_ticks());
-    let (clients, _, client_cpu) = collect(vec![a, b], &mut ops);
+    let (clients, _, client_cpu) = collect(a.into_iter().chain([b]).collect(), &mut ops);
     let window_s = ops
         .iter()
         .filter(|o| o.measured)
@@ -411,7 +403,7 @@ fn open_load(
         .fold(seconds, f64::max);
     let gen_lag_ms = ops
         .iter()
-        .filter(|o| o.measured && matches!(o.kind, OpKind::Insert | OpKind::Query))
+        .filter(|o| o.measured && o.kind == OpKind::Query)
         .map(|o| (o.send - o.due) * 1e3)
         .collect();
     Ok(Load {
@@ -478,16 +470,16 @@ pub fn run(args: &Args) -> Result<Outcome, String> {
 
 fn run_in(args: &Args, work: &Path) -> Result<Outcome, String> {
     let w = args.workload;
-    let phases = if w == Workload::RangeFit {
-        RANGE_PHASES
-    } else {
-        1
-    };
+    let phases = if w == Workload::HotCached { 1 } else { PHASES };
     let seconds = args.seconds / phases as f64;
     let mut setup_times = Vec::new();
     let (mut window_s, mut server_cpu_s, mut steal_pct) = (0.0, 0.0, 0.0);
-    // Ops and corpus of every phase but the last, checked after all loads.
-    let mut earlier: Vec<(Vec<Op>, tseries::Corpus)> = Vec::new();
+    // Snapshot + WAL bytes and stored values of every durable phase.
+    let (mut disk_bytes, mut stored_values) = (0u64, 0usize);
+    // Ops, directories and seed of every phase but the last, checked
+    // after all loads (on a regenerated corpus) so the gate's memory stays
+    // out of `peak_rss_mb`.
+    let mut earlier: Vec<(Vec<Op>, Option<Dirs>, u64)> = Vec::new();
     let mut last = None;
     for p in 0..phases {
         let seed = if p == 0 {
@@ -506,7 +498,7 @@ fn run_in(args: &Args, work: &Path) -> Result<Outcome, String> {
         let addr = server.handle.addr;
         let clients = std::mem::take(&mut server.clients);
         let mut load = match w {
-            Workload::IngestSharded => open_load(seed, seconds, addr, clients)?,
+            Workload::IngestSharded => ingest_load(seed, seconds, addr, clients)?,
             _ => closed_load(w, seed, seconds, addr, clients)?,
         };
         server.clients = std::mem::take(&mut load.clients);
@@ -514,52 +506,71 @@ fn run_in(args: &Args, work: &Path) -> Result<Outcome, String> {
         server_cpu_s += load.server_cpu_s;
         steal_pct += load.steal_pct / phases as f64;
         let (backend, corpus, dirs) = stop(server)?;
+        // The benchmark holds the last reference to a sharded backend:
+        // dropping it closes the WALs and releases the directory locks.
+        let single = match backend {
+            Backend::Single(shared) => Some(shared),
+            Backend::Sharded(sharded) => {
+                drop(sharded);
+                None
+            }
+        };
+        if let Some(d) = &dirs {
+            let acked = load
+                .ops
+                .iter()
+                .filter(|o| matches!(o.result, Ok(Answer::Inserted(_))))
+                .count();
+            disk_bytes += sys::dir_bytes(&d.index) + sys::dir_bytes(&d.wal);
+            stored_values += (corpus.len() + acked) * SEQ_LEN;
+        }
         if p + 1 < phases {
-            drop(backend);
-            earlier.push((std::mem::take(&mut load.ops), corpus));
+            drop(corpus);
+            earlier.push((std::mem::take(&mut load.ops), dirs, seed));
         } else {
-            last = Some((load, backend, corpus, dirs));
+            last = Some((load, single, corpus, dirs, seed));
         }
     }
     let peak_rss = sys::peak_rss_mb();
-    let (load, backend, corpus, dirs) = last.expect("at least one phase");
-    let mut ops = load.ops;
-    let mut checked_earlier = Vec::new();
-    for (mut phase_ops, phase_corpus) in earlier {
-        check_single(&mut phase_ops, &phase_corpus);
-        checked_earlier.extend(phase_ops);
-    }
+    let (load, single, corpus, dirs, last_seed) = last.expect("at least one phase");
 
     // Correctness gate, outside the timed window.
     let mut errors = Vec::new();
     let mut report = Vec::new();
-    let mut space_amp = None;
-    let (single, durable) = match backend {
-        Backend::Single(shared) => {
-            check_single(&mut ops, &corpus);
-            (Some(shared), None)
-        }
-        Backend::Sharded(sharded) => {
-            // The benchmark holds the last reference: dropping it closes
-            // the WALs and releases the directory locks.
-            drop(sharded);
-            let dirs = dirs.as_ref().ok_or("sharded backend without directories")?;
-            let acked = ops
-                .iter()
-                .filter(|o| matches!(o.result, Ok(Answer::Inserted(_))))
-                .count();
-            let values = ((corpus.len() + acked) * SEQ_LEN) as f64;
-            let bytes = sys::dir_bytes(&dirs.index) + sys::dir_bytes(&dirs.wal);
-            space_amp = Some(bytes as f64 / (8.0 * values));
-            let (index, check) = check_ingest(&mut ops, &corpus, dirs, args.seed)?;
-            report.push(format!(
-                "gate: {} acked inserts read back bit-identical after reopen; {} final-state queries checked against the oracle",
-                check.inserts_verified, check.oracle_queries
-            ));
-            errors.extend(check.errors);
-            (None, Some(index))
-        }
+    let (mut inserts_verified, mut oracle_queries) = (0, 0);
+    let mut gate = |ops: &mut [Op], corpus: &tseries::Corpus, dirs: Option<&Dirs>, seed| {
+        let Some(dirs) = dirs else {
+            check_single(ops, corpus);
+            return Ok(());
+        };
+        let check = check_ingest(ops, corpus, dirs, seed)?;
+        inserts_verified += check.inserts_verified;
+        oracle_queries += check.oracle_queries;
+        errors.extend(check.errors);
+        Ok::<_, String>(())
     };
+    let mut checked_earlier = Vec::new();
+    for (mut phase_ops, phase_dirs, phase_seed) in earlier {
+        let phase_corpus = workload::corpus(w, phase_seed);
+        gate(
+            &mut phase_ops,
+            &phase_corpus,
+            phase_dirs.as_ref(),
+            phase_seed,
+        )?;
+        checked_earlier.extend(phase_ops);
+    }
+    let mut ops = load.ops;
+    gate(&mut ops, &corpus, dirs.as_ref(), last_seed)?;
+    let space_amp = dirs
+        .is_some()
+        .then(|| disk_bytes as f64 / (8.0 * stored_values as f64));
+    if dirs.is_some() {
+        report.push(format!(
+            "gate: {inserts_verified} acked inserts read back bit-identical after reopen; \
+             {oracle_queries} final-state queries checked against the oracle"
+        ));
+    }
 
     // Metrics cover every phase; the traced replay uses the last one.
     let last_ops = ops;
@@ -634,12 +645,23 @@ fn run_in(args: &Args, work: &Path) -> Result<Outcome, String> {
 
     let metrics = if args.trace {
         let replay_stats = simquery::stats::StatsRegistry::new();
+        // The sharded replay runs on a fresh durable copy of the last
+        // phase's base corpus: the served state grew by as many inserts
+        // as the window fitted, and the paper counters must repeat.
+        let replay_dirs = Dirs {
+            index: work.join("replay").join("index"),
+            wal: work.join("replay").join("wal"),
+        };
+        let durable = match &single {
+            Some(_) => None,
+            None => Some(open_sharded(&corpus, &replay_dirs)?),
+        };
         let target = match (&single, &durable) {
             (Some(shared), _) => Target::Single(shared, &replay_stats),
             (_, Some(sharded)) => Target::Sharded(sharded),
             _ => unreachable!("one backend kind per workload"),
         };
-        let writes = durable.as_ref().zip(dirs.as_ref());
+        let writes = durable.as_ref().map(|d| (d, &replay_dirs));
         let mut per = traced(args, &last_ops, corpus.len(), &target, writes)?;
         per.push((
             "serve.busy_frac",

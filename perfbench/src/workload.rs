@@ -52,12 +52,12 @@ pub const WIDE: (usize, usize) = (5, 20);
 pub const NARROW: (usize, usize) = (4, 12);
 /// Correlation threshold of every QUERY.
 pub const RHO: f64 = 0.96;
-/// `ingest_sharded` INSERT rate, 1/s.
-pub const INSERT_RATE: f64 = 100.0;
-/// `ingest_sharded` QUERY rate, 1/s.
-pub const QUERY_RATE: f64 = 8.0;
+/// `ingest_sharded` open-loop QUERY rate of connection B, 1/s.
+pub const QUERY_RATE: f64 = 1.0;
 /// INSERTs between CHECKPOINTs.
-pub const CHECKPOINT_EVERY: usize = 250;
+pub const CHECKPOINT_EVERY: usize = 1_000;
+/// INSERTs between the write connection's own QUERYs.
+pub const INSERTS_PER_QUERY: usize = 100;
 /// WAL fsync policy (the `simserved` default).
 pub const FSYNC: FsyncPolicy = FsyncPolicy::Always;
 /// Generator lag (p99 of send − due) beyond which an open-loop run is
@@ -183,12 +183,35 @@ fn connect(addr: SocketAddr) -> Result<Client, String> {
     Client::connect_with(addr, client_config()).map_err(|e| format!("connect {addr}: {e}"))
 }
 
+/// The base corpus of one set-up.
+pub fn corpus(w: Workload, seed: u64) -> Corpus {
+    Corpus::generate(CorpusKind::SyntheticWalks, w.corpus_len(), SEQ_LEN, seed)
+}
+
+/// Builds the `ingest_sharded` shards of `corpus`, saves them and reopens
+/// them with `open_durable`.
+pub fn open_sharded(corpus: &Corpus, dirs: &Dirs) -> Result<ShardedIndex, String> {
+    let index_cfg = IndexConfig {
+        heap_pool_pages: LARGE_POOL_PAGES,
+        ..IndexConfig::default()
+    };
+    let built = ShardedIndex::build(corpus, ShardConfig::new(LARGE_SHARDS)?, index_cfg)
+        .map_err(|e| format!("shard build: {e}"))?;
+    built
+        .save(&dirs.index)
+        .map_err(|e| format!("save {}: {e}", dirs.index.display()))?;
+    drop(built);
+    let (sharded, _) = ShardedIndex::open_durable(&dirs.index, &dirs.wal, LARGE_POOL_PAGES, FSYNC)
+        .map_err(|e| format!("durable open: {e}"))?;
+    Ok(sharded)
+}
+
 /// Generates the corpus, builds (and for `ingest_sharded` persists and
 /// durably reopens) the index, binds the server and waits for its first
 /// INFO answer. Returns the server and the elapsed set-up time, s.
 pub fn start(w: Workload, seed: u64, work: &Path) -> Result<(Server, f64), String> {
     let t0 = Instant::now();
-    let corpus = Corpus::generate(CorpusKind::SyntheticWalks, w.corpus_len(), SEQ_LEN, seed);
+    let corpus = corpus(w, seed);
     let index_cfg = IndexConfig {
         heap_pool_pages: w.pool_pages(),
         ..IndexConfig::default()
@@ -203,16 +226,7 @@ pub fn start(w: Workload, seed: u64, work: &Path) -> Result<(Server, f64), Strin
                 index: work.join("index"),
                 wal: work.join("wal"),
             };
-            let shard_cfg = ShardConfig::new(LARGE_SHARDS)?;
-            let built = ShardedIndex::build(&corpus, shard_cfg, index_cfg)
-                .map_err(|e| format!("shard build: {e}"))?;
-            built
-                .save(&dirs.index)
-                .map_err(|e| format!("save {}: {e}", dirs.index.display()))?;
-            drop(built);
-            let (sharded, _) =
-                ShardedIndex::open_durable(&dirs.index, &dirs.wal, LARGE_POOL_PAGES, FSYNC)
-                    .map_err(|e| format!("durable open: {e}"))?;
+            let sharded = open_sharded(&corpus, &dirs)?;
             (Backend::Sharded(Arc::new(sharded)), Some(dirs))
         }
     };
@@ -482,8 +496,6 @@ fn since(origin: Instant) -> f64 {
 
 /// Open loop on one connection: request `n` is due at `n / rate` s after
 /// `origin` and is sent then, or as soon as the previous answer arrived.
-/// `after` may add unscheduled follow-up requests (sent right away).
-#[allow(clippy::too_many_arguments)]
 pub fn open_phase(
     addr: SocketAddr,
     mut client: Option<Client>,
@@ -492,7 +504,6 @@ pub fn open_phase(
     rate: f64,
     origin: Instant,
     seconds: f64,
-    mut after: impl FnMut(usize) -> Option<Request>,
 ) -> PhaseOut {
     let cpu0 = crate::sys::thread_cpu_s();
     let mut ops = Vec::new();
@@ -521,22 +532,6 @@ pub fn open_phase(
             done,
             result,
         });
-        if let Some(extra) = after(n) {
-            let send = since(origin);
-            let result = call(&mut client, addr, &extra);
-            let done = since(origin);
-            ops.push(Op {
-                kind: OpKind::of(&extra),
-                conn,
-                n,
-                request: extra,
-                measured: true,
-                due: send,
-                send,
-                done,
-                result,
-            });
-        }
         n += 1;
     }
     PhaseOut {
@@ -622,11 +617,26 @@ pub fn hot_stream(seed: u64, conn: usize) -> Stream {
     })
 }
 
-/// `ingest_sharded` insert stream: fresh seeded walks.
-pub fn insert_stream(seed: u64) -> Stream {
-    let mut rng = SeededRng::seed_from_u64(stream_seed(seed, 200));
-    Box::new(move |_| Request::Insert {
-        values: random_walk(&mut rng, SEQ_LEN, 500.0).into_values(),
+/// `ingest_sharded` write stream, in cycles of [`CHECKPOINT_EVERY`]
+/// INSERTs of fresh seeded walks with a QUERY over the base ordinals after
+/// every [`INSERTS_PER_QUERY`] of them, closed by a CHECKPOINT. The mix is
+/// fixed by position, so the stream's throughput weighs the write, read
+/// and checkpoint paths the same way on every run.
+pub fn write_stream(seed: u64) -> Stream {
+    let cycle = CHECKPOINT_EVERY + CHECKPOINT_EVERY / INSERTS_PER_QUERY + 1;
+    let mut walks = SeededRng::seed_from_u64(stream_seed(seed, 200));
+    let mut queries = ingest_query_stream(stream_seed(seed, 202));
+    Box::new(move |n| {
+        let i = n % cycle;
+        if i + 1 == cycle {
+            Request::Checkpoint
+        } else if (i + 1).is_multiple_of(INSERTS_PER_QUERY + 1) {
+            queries(n)
+        } else {
+            Request::Insert {
+                values: random_walk(&mut walks, SEQ_LEN, 500.0).into_values(),
+            }
+        }
     })
 }
 
@@ -731,14 +741,13 @@ pub struct IngestCheck {
 /// and every acknowledged insert bit-identically, check every in-window
 /// QUERY answer against the final state (same matches among base
 /// sequences; inserted matches a subset of the final ones), and check a
-/// seeded sample of final-state queries against the oracle. Returns the
-/// reopened index for the traced replay.
+/// seeded sample of final-state queries against the oracle.
 pub fn check_ingest(
     ops: &mut [Op],
     corpus: &Corpus,
     dirs: &Dirs,
     seed: u64,
-) -> Result<(ShardedIndex, IngestCheck), String> {
+) -> Result<IngestCheck, String> {
     let (index, _) = ShardedIndex::open_durable(&dirs.index, &dirs.wal, LARGE_POOL_PAGES, FSYNC)
         .map_err(|e| format!("reopen after shutdown: {e}"))?;
     let mut errors = Vec::new();
@@ -882,12 +891,9 @@ pub fn check_ingest(
             Err(e) => errors.push(format!("final-state query {ord}: {e}")),
         }
     }
-    Ok((
-        index,
-        IngestCheck {
-            inserts_verified,
-            oracle_queries: sample.len(),
-            errors,
-        },
-    ))
+    Ok(IngestCheck {
+        inserts_verified,
+        oracle_queries: sample.len(),
+        errors,
+    })
 }

@@ -195,6 +195,35 @@ fn oracle_agrees_with_scan_and_exact_knn() {
 }
 
 #[test]
+fn write_stream_keeps_its_mix_by_position() {
+    use perfbench::workload::{write_stream, CHECKPOINT_EVERY, INSERTS_PER_QUERY};
+    use simserve::protocol::Request;
+    let cycle = CHECKPOINT_EVERY + CHECKPOINT_EVERY / INSERTS_PER_QUERY + 1;
+    let kinds = |seed| -> Vec<u8> {
+        let mut s = write_stream(seed);
+        (0..3 * cycle)
+            .map(|n| match s(n) {
+                Request::Insert { .. } => b'i',
+                Request::Query(_) => b'q',
+                Request::Checkpoint => b'c',
+                other => panic!("unexpected request {other:?}"),
+            })
+            .collect()
+    };
+    let k = kinds(7);
+    assert_eq!(k, kinds(8), "the mix does not depend on the seed");
+    for c in k.chunks(cycle) {
+        assert_eq!(c.iter().filter(|&&b| b == b'i').count(), CHECKPOINT_EVERY);
+        assert_eq!(
+            c.iter().filter(|&&b| b == b'q').count(),
+            CHECKPOINT_EVERY / INSERTS_PER_QUERY
+        );
+        assert_eq!(c.last(), Some(&b'c'));
+        assert_eq!(c[INSERTS_PER_QUERY], b'q');
+    }
+}
+
+#[test]
 fn benchmark_json_lists_exactly_the_emitted_metrics() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
     let text = std::fs::read_to_string(path).expect("BENCHMARK.json at the repository root");
