@@ -10,6 +10,7 @@
 
 use bench::table::{f2, Table};
 use simquery::index::IndexConfig;
+use simquery::plan::{EngineChoice, EnginePref, LogicalQuery};
 use simquery::query::{FilterPolicy, RangeSpec};
 use simquery::transform::Family;
 use simshard::{gather, ShardConfig, ShardedIndex};
@@ -59,6 +60,14 @@ fn client_loop(
     let mut rng = SeededRng::seed_from_u64(thread_seed);
     let n = corpus.len();
     let mut latencies = Vec::with_capacity(ops);
+    let range =
+        |engine| LogicalQuery::range(family.clone(), *spec).with_engine(EnginePref::Force(engine));
+    let (mt, st, scan) = (
+        range(EngineChoice::Mt),
+        range(EngineChoice::St),
+        range(EngineChoice::Scan),
+    );
+    let knn = LogicalQuery::knn(family.clone(), 5);
     for _ in 0..ops {
         let ord = rng.random_range(0.0..n as f64) as usize;
         let query = &corpus.series()[ord.min(n - 1)];
@@ -66,16 +75,13 @@ fn client_loop(
         let start = std::time::Instant::now();
         // 60% MT range, 25% ST range, 5% scan, 10% exact kNN.
         if dice < 60.0 {
-            gather::range_query(sharded, gather::Engine::Mt, query, family, spec)
-                .expect("mt query");
+            gather::execute_range(sharded, &mt, query).expect("mt query");
         } else if dice < 85.0 {
-            gather::range_query(sharded, gather::Engine::St, query, family, spec)
-                .expect("st query");
+            gather::execute_range(sharded, &st, query).expect("st query");
         } else if dice < 90.0 {
-            gather::range_query(sharded, gather::Engine::Scan, query, family, spec)
-                .expect("scan query");
+            gather::execute_range(sharded, &scan, query).expect("scan query");
         } else {
-            gather::knn(sharded, query, family, 5).expect("knn query");
+            gather::execute_knn(sharded, &knn, query).expect("knn query");
         }
         latencies.push(start.elapsed().as_micros().min(u64::MAX as u128) as u64);
     }

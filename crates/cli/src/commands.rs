@@ -1,8 +1,9 @@
 //! Subcommand implementations.
 
-use crate::args::{err, Args, CliError};
 use simquery::plan;
 use simquery::prelude::*;
+use simserve::opts::Opts;
+use simserve::protocol::EngineKind;
 use simshard::{gather, ShardConfig, ShardedIndex};
 use std::path::{Path, PathBuf};
 
@@ -13,6 +14,7 @@ simseq — similarity-based queries for time series (Rafiei, ICDE '99)
 USAGE:
   simseq gen   --kind walks|stocks --count N --len N --out FILE.csv [--seed S]
   simseq build --data FILE.csv --out DIR/
+               [--shards N [--partitioner hash|round-robin|range]]
   simseq info  --index DIR/
   simseq query --index DIR/ (--query-index I | --query-csv FILE --row I)
                [--ma LO..HI] [--shift LO..HI] [--inverted yes]
@@ -23,37 +25,27 @@ USAGE:
                [--engine auto|mt|st|scan] [--limit N]
   simseq nn    --index DIR/ (--query-index I | --query-csv FILE --row I)
                --k K [--ma LO..HI]
-  simseq serve --index DIR/ [--addr HOST:PORT] [--workers N] [--queue N]
-               [--max-conns N] [--pool-pages N] [--result-cache N]
-               [--cache-floor COST] [--slow-query-ms N] [--trace-sample K]
-               [--replicate-from HOST:PORT]
-  simseq load  --addr HOST:PORT [--conns N] [--ops N] [--seed S]
-               [--ma LO..HI] [--rho R] [--engine auto|mt|st|scan]
-               [--verify-index DIR/] [--timeout-ms MS]
-               [--failover HOST:PORT,HOST:PORT]
+  simseq serve ...   runs simserved; `simseq serve help` lists its flags
+  simseq load  ...   runs simload; `simseq load help` lists its flags
   simseq promote --addr HOST:PORT [--timeout-ms MS]
   simseq metrics --addr HOST:PORT [--trace N] [--timeout-ms MS]
   simseq recover --index DIR/ --wal DIR/ [--pool-pages N]
-  simseq shard build --data FILE.csv --out DIR/ --shards N
-               [--partitioner hash|round-robin|range]
-  simseq shard info  --index DIR/
-  simseq shard query --index DIR/ (--query-index I | --query-csv FILE --row I)
-               [--ma LO..HI] [--rho R | --eps E] [--engine mt|st|scan]
-               [--policy adaptive|safe] [--mode symmetric|data-only]
-               [--limit N]
-  simseq shard nn    --index DIR/ (--query-index I | --query-csv FILE --row I)
-               --k K [--ma LO..HI]
+
+Every command rejects a flag it does not read and a flag given twice.
 
 Thresholds: --rho is a cross-correlation in [-1, 1], converted through
 Eq. 9; --eps is a Euclidean distance over transformed normal forms.
 
-`serve` runs the simserved line protocol (see crates/serve/PROTOCOL.md)
-over the given index; with --replicate-from it runs an in-memory
-read-only follower of a durable primary instead (writes get ERR
-code=READONLY). `load` replays a seeded closed-loop workload against a
-running server and prints a latency/throughput table; --failover lists
-extra endpoints its client rotates to on ERR READONLY or connection
-failure, and --timeout-ms bounds every socket operation (0 = none).
+`build --shards N` partitions the corpus across N independent indexes
+and writes the sharded layout (a directory with `sharding.txt`).
+`info`, `query`, `nn` and `recover` detect that layout and open either
+one: sharded queries scatter-gather across the shards, return exactly
+the single-index answer, and print each shard's metrics to stderr.
+`--policy paper` is refused on a sharded index (its false dismissals
+depend on tree layout), and `join` requires an unsharded one.
+
+`serve` and `load` are the `simserved` and `simload` daemons: the same
+code, the same flags and the same help text.
 
 `promote` flips a running follower to primary: the follower bumps its
 WAL epoch past everything it has seen, fences the old timeline, and
@@ -63,30 +55,46 @@ itself to read-only the moment it sees the higher epoch.
 `metrics` fetches a running server's METRICS exposition (one
 `name{labels} value` line per metric — the same numbers STATS reports)
 and, with --trace N, drains up to N recorded spans from its sampling
-tracer. `serve --slow-query-ms N` logs queries at or over the
-threshold; `--trace-sample K` records every K-th request's span tree
-(0 disables); `--cache-floor COST` only admits query results whose
-execution cost met the floor.
+tracer.
 
 `recover` replays a write-ahead log (written by `simserved --wal`) on
 top of the index snapshot, reports what it salvaged, and checkpoints so
-the directory opens clean afterwards. It detects sharded directories by
-their `sharding.txt`.
-
-`shard build` partitions the corpus across N independent indexes (serve
-the directory with `simserved --index DIR/` to get per-shard STATS);
-`shard query`/`shard nn` scatter-gather across the shards and return
-exactly the single-index answer.
+the directory opens clean afterwards.
 ";
 
-type CliResult = Result<(), CliError>;
+type CliResult = Result<(), String>;
+
+/// A subcommand run on its parsed flags.
+type Command = fn(&Opts) -> CliResult;
+
+/// The flags every family-taking command reads (see [`family_from`]).
+const FAMILY: &str = "index ma shift inverted";
+
+/// The flags of the commands that take a query sequence.
+const QUERY_SERIES: &str = "query-index query-csv row";
+
+/// The flags of the commands that take a threshold (see [`spec_from`]).
+const SPEC: &str = "rho eps engine policy mode limit";
+
+/// Every subcommand but `serve` and `load`, with the flags it reads.
+pub const COMMANDS: &[(&str, &[&str], Command)] = &[
+    ("gen", &["kind count len seed out"], gen),
+    ("build", &["data out shards partitioner"], build),
+    ("info", &["index"], info),
+    ("query", &[FAMILY, QUERY_SERIES, SPEC], query),
+    ("join", &[FAMILY, SPEC], join),
+    ("nn", &[FAMILY, QUERY_SERIES, "k"], nn),
+    ("promote", &["addr timeout-ms"], promote),
+    ("metrics", &["addr trace timeout-ms"], metrics),
+    ("recover", &["index wal pool-pages"], recover),
+];
 
 /// `simseq gen` — write a synthetic corpus as CSV.
-pub fn gen(args: &Args) -> CliResult {
+fn gen(args: &Opts) -> CliResult {
     let kind = match args.req("kind")? {
         "walks" => CorpusKind::SyntheticWalks,
         "stocks" => CorpusKind::StockCloses,
-        other => return Err(err(format!("--kind must be walks|stocks, got `{other}`"))),
+        other => return Err(format!("--kind must be walks|stocks, got `{other}`")),
     };
     let count: usize = args.req_parse("count")?;
     let len: usize = args.req_parse("len")?;
@@ -95,7 +103,7 @@ pub fn gen(args: &Args) -> CliResult {
     let corpus = Corpus::generate(kind, count, len, seed);
     corpus
         .save_csv(&out)
-        .map_err(|e| err(format!("writing {}: {e}", out.display())))?;
+        .map_err(|e| format!("writing {}: {e}", out.display()))?;
     println!(
         "wrote {count} sequences of length {len} to {}",
         out.display()
@@ -103,39 +111,79 @@ pub fn gen(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `simseq build` — index a CSV corpus and persist it.
-pub fn build(args: &Args) -> CliResult {
+/// `simseq build` — index a CSV corpus and persist it, as one index or,
+/// with `--shards N`, partitioned across N.
+fn build(args: &Opts) -> CliResult {
     let data = PathBuf::from(args.req("data")?);
     let out = PathBuf::from(args.req("out")?);
-    let corpus =
-        Corpus::load_csv(&data).map_err(|e| err(format!("reading {}: {e}", data.display())))?;
-    let index =
-        SeqIndex::build(&corpus, IndexConfig::default()).ok_or_else(|| err("corpus is empty"))?;
-    index
-        .save(&out)
-        .map_err(|e| err(format!("saving index: {e}")))?;
+    // The same shardcfg parse that backs `simserved --shards`.
+    let shard_cfg = match args.get("shards") {
+        None if args.get("partitioner").is_some() => {
+            return Err("--partitioner requires --shards".into())
+        }
+        None => None,
+        Some(n) => Some(ShardConfig::parse(n, args.get("partitioner"))?),
+    };
+    let corpus = Corpus::load_csv(&data).map_err(|e| format!("reading {}: {e}", data.display()))?;
+    let summary = match shard_cfg {
+        None => {
+            let index =
+                SeqIndex::build(&corpus, IndexConfig::default()).ok_or("corpus is empty")?;
+            index.save(&out).map_err(|e| format!("saving index: {e}"))?;
+            format!(
+                "indexed {} sequences of length {} ({} skipped as degenerate) into {}",
+                index.len(),
+                index.seq_len(),
+                index.skipped().len(),
+                out.display()
+            )
+        }
+        Some(cfg) => {
+            let sharded = ShardedIndex::build(&corpus, cfg, IndexConfig::default())
+                .map_err(|e| e.to_string())?;
+            sharded
+                .save(&out)
+                .map_err(|e| format!("saving sharded index: {e}"))?;
+            format!(
+                "indexed {} sequences of length {} across {} shards ({}) into {}",
+                sharded.len(),
+                sharded.seq_len(),
+                sharded.shard_count(),
+                sharded.partitioner_kind(),
+                out.display()
+            )
+        }
+    };
     // Names are needed later for reporting; keep them next to the index.
     std::fs::write(out.join("names.txt"), corpus.names().join("\n"))
-        .map_err(|e| err(format!("saving names: {e}")))?;
-    println!(
-        "indexed {} sequences of length {} ({} skipped as degenerate) into {}",
-        index.len(),
-        index.seq_len(),
-        index.skipped().len(),
-        out.display()
-    );
+        .map_err(|e| format!("saving names: {e}"))?;
+    println!("{summary}");
     Ok(())
 }
 
 /// `simseq info` — describe a persisted index.
-pub fn info(args: &Args) -> CliResult {
+fn info(args: &Opts) -> CliResult {
     let (index, names) = open_index(args)?;
     println!("sequences:   {}", index.len());
     println!("length:      {}", index.seq_len());
-    println!("tree height: {}", index.height());
-    println!("leaf fanout: {}", index.leaf_capacity());
-    println!("skipped:     {}", index.skipped().len());
-    println!("deleted:     {}", index.deleted_count());
+    match &index {
+        Index::Single(index) => {
+            println!("tree height: {}", index.height());
+            println!("leaf fanout: {}", index.leaf_capacity());
+            println!("skipped:     {}", index.skipped().len());
+            println!("deleted:     {}", index.deleted_count());
+        }
+        Index::Sharded(sharded) => {
+            println!("shards:      {}", sharded.shard_count());
+            println!("partitioner: {}", sharded.partitioner_kind());
+            println!("deleted:     {}", sharded.deleted_count());
+            let loads = sharded.shard_loads();
+            for (i, (load, handle)) in loads.iter().zip(sharded.shards()).enumerate() {
+                let index = handle.read();
+                println!("shard {i}:     {load} seqs, tree height {}", index.height());
+            }
+        }
+    }
     if let Some(first) = names.first() {
         println!("first name:  {first}");
     }
@@ -143,21 +191,32 @@ pub fn info(args: &Args) -> CliResult {
 }
 
 /// `simseq query` — Query 1.
-pub fn query(args: &Args) -> CliResult {
+fn query(args: &Opts) -> CliResult {
     let (index, names) = open_index(args)?;
     let family = family_from(args, index.seq_len())?;
     let spec = spec_from(args)?;
+    if matches!(index, Index::Sharded(_)) && spec.policy == FilterPolicy::Paper {
+        return Err(
+            "--policy paper is tree-layout-dependent and may differ across \
+             shard counts; use adaptive|safe"
+                .into(),
+        );
+    }
     let q = query_series(args, &index)?;
-
-    let engine = engine_pref_from(args)?;
-    index
-        .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
-    let lq = LogicalQuery::range(family.clone(), spec).with_engine(engine);
-    let stats = StatsRegistry::new();
-    let (chosen, out) = plan::run(&index, &stats, &lq, Some(&q)).map_err(|e| err(e.to_string()))?;
-    let PlanOutput::Range(result) = out else {
-        return Err(err("range plan produced a non-range result"));
+    let lq = LogicalQuery::range(family.clone(), spec).with_engine(engine_pref_from(args)?);
+    index.reset_counters()?;
+    let (chosen, result, per_shard) = match &index {
+        Index::Single(index) => {
+            let (chosen, out) = plan::run(index, &StatsRegistry::new(), &lq, Some(&q))
+                .map_err(|e| e.to_string())?;
+            let PlanOutput::Range(result) = out else {
+                return Err("range plan produced a non-range result".into());
+            };
+            (chosen, result, Vec::new())
+        }
+        Index::Sharded(sharded) => {
+            gather::execute_range(sharded, &lq, &q).map_err(|e| e.to_string())?
+        }
     };
 
     let limit: usize = args.parse_or("limit", 20)?;
@@ -180,24 +239,31 @@ pub fn query(args: &Args) -> CliResult {
         result.matched_sequences().len(),
         result.metrics
     );
+    print_per_shard(&per_shard);
     eprintln!("{}", plan_line(&chosen));
     Ok(())
 }
 
-/// `simseq join` — Query 2.
-pub fn join(args: &Args) -> CliResult {
-    let (index, names) = open_index(args)?;
+/// `simseq join` — Query 2 (single layout only).
+fn join(args: &Opts) -> CliResult {
+    let (Index::Single(index), names) = open_index(args)? else {
+        return Err(
+            "JOIN is not supported on a sharded index (pairs cross shards); \
+             build the index without --shards to join"
+                .into(),
+        );
+    };
     let family = family_from(args, index.seq_len())?;
     let spec = spec_from(args)?;
     let engine = engine_pref_from(args)?;
     index
         .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
+        .map_err(|e| format!("resetting counters: {e}"))?;
     let lq = LogicalQuery::join(family.clone(), spec).with_engine(engine);
     let stats = StatsRegistry::new();
-    let (chosen, out) = plan::run(&index, &stats, &lq, None).map_err(|e| err(e.to_string()))?;
+    let (chosen, out) = plan::run(&index, &stats, &lq, None).map_err(|e| e.to_string())?;
     let PlanOutput::Join(result) = out else {
-        return Err(err("join plan produced a non-join result"));
+        return Err("join plan produced a non-join result".into());
     };
 
     let limit: usize = args.parse_or("limit", 20)?;
@@ -222,19 +288,27 @@ pub fn join(args: &Args) -> CliResult {
 }
 
 /// `simseq nn` — k nearest neighbours under the family.
-pub fn nn(args: &Args) -> CliResult {
+fn nn(args: &Opts) -> CliResult {
     let (index, names) = open_index(args)?;
     let family = family_from(args, index.seq_len())?;
     let k: usize = args.req_parse("k")?;
     let q = query_series(args, &index)?;
-    index
-        .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
+    index.reset_counters()?;
     let lq = LogicalQuery::knn(family.clone(), k);
-    let stats = StatsRegistry::new();
-    let (_, out) = plan::run(&index, &stats, &lq, Some(&q)).map_err(|e| err(e.to_string()))?;
-    let PlanOutput::Knn(matches, metrics) = out else {
-        return Err(err("kNN plan produced a non-kNN result"));
+    let (matches, metrics, per_shard) = match &index {
+        Index::Single(index) => {
+            let (_, out) = plan::run(index, &StatsRegistry::new(), &lq, Some(&q))
+                .map_err(|e| e.to_string())?;
+            let PlanOutput::Knn(matches, metrics) = out else {
+                return Err("kNN plan produced a non-kNN result".into());
+            };
+            (matches, metrics, Vec::new())
+        }
+        Index::Sharded(sharded) => {
+            let (_, matches, metrics, per_shard) =
+                gather::execute_knn(sharded, &lq, &q).map_err(|e| e.to_string())?;
+            (matches, metrics, per_shard)
+        }
     };
     for m in &matches {
         println!(
@@ -245,205 +319,42 @@ pub fn nn(args: &Args) -> CliResult {
         );
     }
     eprintln!("{metrics}");
-    Ok(())
-}
-
-/// `simseq serve` — serve a persisted index over TCP (blocks forever).
-/// With `--replicate-from HOST:PORT` it runs an in-memory read-only
-/// follower instead: `--index` seeds the starting state (optional —
-/// without it the whole state bootstraps from a snapshot transfer).
-pub fn serve(args: &Args) -> CliResult {
-    let replicate_from = args.opt("replicate-from").map(str::to_string);
-    let pool_pages: usize = args.parse_or("pool-pages", 256)?;
-    let defaults = simserve::server::ServerConfig::default();
-    let cfg = simserve::server::ServerConfig {
-        addr: args.opt("addr").unwrap_or(&defaults.addr).to_string(),
-        workers: args.parse_or("workers", defaults.workers)?,
-        queue_depth: args.parse_or("queue", defaults.queue_depth)?,
-        max_conns: args.parse_or("max-conns", defaults.max_conns)?,
-        result_cache: args.parse_or("result-cache", defaults.result_cache)?,
-        cache_floor: args.parse_or("cache-floor", defaults.cache_floor)?,
-        slow_query_us: match args.opt("slow-query-ms") {
-            None => defaults.slow_query_us,
-            Some(raw) => raw
-                .parse::<u64>()
-                .map(|ms| ms.saturating_mul(1000))
-                .map_err(|_| err(format!("--slow-query-ms must be an integer, got `{raw}`")))?,
-        },
-        trace_sample: args.parse_or("trace-sample", defaults.trace_sample)?,
-    };
-    let (shared, follower) = match &replicate_from {
-        None => {
-            let dir = PathBuf::from(args.req("index")?);
-            let shared = SharedIndex::open(&dir, pool_pages)
-                .map_err(|e| err(format!("opening index {}: {e}", dir.display())))?;
-            (shared, None)
-        }
-        Some(primary) => {
-            // Per-node jitter seed: distinct listen addresses give
-            // distinct reconnect schedules, so a follower fleet doesn't
-            // thundering-herd a recovering primary.
-            let reconnect_seed = {
-                use std::hash::{Hash, Hasher};
-                let mut h = std::collections::hash_map::DefaultHasher::new();
-                cfg.addr.hash(&mut h);
-                h.finish()
-            };
-            let fopts = simserve::repl::FollowerOpts {
-                reconnect_seed,
-                ..simserve::repl::FollowerOpts::default()
-            };
-            let (shared, follower) = match args.opt("index") {
-                None => simserve::repl::bootstrap(primary, fopts)
-                    .map_err(|e| err(format!("bootstrapping from {primary}: {e}")))?,
-                Some(dir) => {
-                    let dir = PathBuf::from(dir);
-                    let shared = SharedIndex::open(&dir, pool_pages)
-                        .map_err(|e| err(format!("opening index {}: {e}", dir.display())))?;
-                    let follower =
-                        simserve::repl::Follower::connect(primary, shared.clone(), fopts)
-                            .map_err(|e| err(format!("connecting to primary {primary}: {e}")))?;
-                    (shared, follower)
-                }
-            };
-            (shared, Some(follower))
-        }
-    };
-    {
-        let index = shared.read();
-        let role = match &replicate_from {
-            Some(primary) => format!("following {primary}, "),
-            None => String::new(),
-        };
-        eprintln!(
-            "serving {} sequences of length {} ({role}{} workers, queue {}, max {} conns)",
-            index.len(),
-            index.seq_len(),
-            cfg.workers,
-            cfg.queue_depth,
-            cfg.max_conns
-        );
-    }
-    let handle = match follower {
-        None => simserve::server::serve(shared, &cfg)
-            .map_err(|e| err(format!("starting server: {e}")))?,
-        Some(follower) => {
-            let stats = follower.stats();
-            let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            let loop_handle = follower.spawn(std::sync::Arc::clone(&stop));
-            let handle = simserve::server::serve_with(shared, &cfg, Some(stats))
-                .map_err(|e| err(format!("starting server: {e}")))?;
-            // Registered so a PROMOTE request can halt the poll loop
-            // before flipping this server to primary.
-            handle.repl().register_follower_loop(stop, loop_handle);
-            handle
-        }
-    };
-    println!("listening on {}", handle.addr);
-    handle.join();
-    Ok(())
-}
-
-/// `simseq load` — closed-loop load generation against a running server.
-pub fn load(args: &Args) -> CliResult {
-    let defaults = simserve::load::LoadConfig::default();
-    let engine = match args.opt("engine").unwrap_or("mt") {
-        "auto" => simserve::protocol::EngineKind::Auto,
-        "mt" => simserve::protocol::EngineKind::Mt,
-        "st" => simserve::protocol::EngineKind::St,
-        "scan" => simserve::protocol::EngineKind::Scan,
-        other => {
-            return Err(err(format!(
-                "--engine must be auto|mt|st|scan, got `{other}`"
-            )))
-        }
-    };
-    let verify = match args.opt("verify-index") {
-        None => None,
-        Some(dir) => {
-            let pool_pages: usize = args.parse_or("pool-pages", 256)?;
-            Some(
-                // Read-only: the oracle may be the directory the server
-                // under test is serving (and holding the LOCK on).
-                SharedIndex::open_read_only(Path::new(dir), pool_pages)
-                    .map_err(|e| err(format!("opening verify index {dir}: {e}")))?,
-            )
-        }
-    };
-    let cfg = simserve::load::LoadConfig {
-        addr: args.req("addr")?.to_string(),
-        conns: args.parse_or("conns", defaults.conns)?,
-        ops_per_conn: args.parse_or("ops", defaults.ops_per_conn)?,
-        seed: args.parse_or("seed", defaults.seed)?,
-        ma: args.range("ma")?.unwrap_or(defaults.ma),
-        rho: args.parse_or("rho", defaults.rho)?,
-        engine,
-        verify,
-        failover_to: args
-            .opt("failover")
-            .map(|raw| {
-                raw.split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default(),
-        timeout_ms: match args.opt("timeout-ms") {
-            None => None,
-            Some(raw) => Some(
-                raw.parse()
-                    .map_err(|_| err(format!("--timeout-ms: cannot parse `{raw}`")))?,
-            ),
-        },
-    };
-    let report = simserve::load::run(&cfg).map_err(|e| err(format!("load run failed: {e}")))?;
-    print!("{}", report.render());
-    if report.total_errors() > 0 || report.total_parity_failures() > 0 {
-        return Err(err(format!(
-            "{} errors, {} parity failures",
-            report.total_errors(),
-            report.total_parity_failures()
-        )));
-    }
+    print_per_shard(&per_shard);
     Ok(())
 }
 
 /// `simseq promote` — flip a running follower to primary.
-pub fn promote(args: &Args) -> CliResult {
+fn promote(args: &Opts) -> CliResult {
     let addr = args.req("addr")?;
     let mut client = connect_client(args, addr)?;
     match client
         .promote()
-        .map_err(|e| err(format!("PROMOTE failed: {e}")))?
+        .map_err(|e| format!("PROMOTE failed: {e}"))?
     {
         Ok(epoch) => {
             println!("promoted: {addr} is now primary at epoch {epoch}");
             Ok(())
         }
-        Err(resp) => Err(err(format!("PROMOTE rejected: {resp:?}"))),
+        Err(resp) => Err(format!("PROMOTE rejected: {resp:?}")),
     }
 }
 
 /// `simseq metrics` — fetch a running server's metrics exposition.
-pub fn metrics(args: &Args) -> CliResult {
+fn metrics(args: &Opts) -> CliResult {
     let addr = args.req("addr")?;
     let mut client = connect_client(args, addr)?;
     let lines = client
         .metrics()
-        .map_err(|e| err(format!("METRICS failed: {e}")))?
-        .map_err(|resp| err(format!("METRICS rejected: {resp:?}")))?;
+        .map_err(|e| format!("METRICS failed: {e}"))?
+        .map_err(|resp| format!("METRICS rejected: {resp:?}"))?;
     for line in &lines {
         println!("{line}");
     }
-    if let Some(n) = args.opt("trace") {
-        let n: usize = n
-            .parse()
-            .map_err(|e| err(format!("--trace must be a count: {e}")))?;
+    if let Some(n) = args.parse_opt::<usize>("trace")? {
         let events = client
             .trace(n)
-            .map_err(|e| err(format!("TRACE failed: {e}")))?
-            .map_err(|resp| err(format!("TRACE rejected: {resp:?}")))?;
+            .map_err(|e| format!("TRACE failed: {e}"))?
+            .map_err(|resp| format!("TRACE rejected: {resp:?}"))?;
         println!("# {} spans (oldest first)", events.len());
         for ev in &events {
             println!(
@@ -456,12 +367,12 @@ pub fn metrics(args: &Args) -> CliResult {
 }
 
 /// `simseq recover` — replay a WAL onto its snapshot and checkpoint.
-pub fn recover(args: &Args) -> CliResult {
+fn recover(args: &Opts) -> CliResult {
     let dir = PathBuf::from(args.req("index")?);
     let wal = PathBuf::from(args.req("wal")?);
     let pool_pages: usize = args.parse_or("pool-pages", 256)?;
     let policy = simwal::FsyncPolicy::Always;
-    let oops = |e: &dyn std::fmt::Display| err(format!("recovering {}: {e}", dir.display()));
+    let oops = |e: &dyn std::fmt::Display| format!("recovering {}: {e}", dir.display());
     if dir.join("sharding.txt").is_file() {
         let (sharded, rec) =
             ShardedIndex::open_durable(&dir, &wal, pool_pages, policy).map_err(|e| oops(&e))?;
@@ -503,205 +414,78 @@ pub fn recover(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `simseq shard …` — nested subcommands over a sharded index.
-pub fn shard(argv: &[String]) -> CliResult {
-    let args = Args::parse(argv)?;
-    match args.sub() {
-        "build" => shard_build(&args),
-        "info" => shard_info(&args),
-        "query" => shard_query(&args),
-        "nn" => shard_nn(&args),
-        other => Err(err(format!(
-            "unknown shard subcommand `{other}`; try `simseq help`"
-        ))),
-    }
-}
-
-/// `simseq shard build` — partition a CSV corpus across N shards.
-fn shard_build(args: &Args) -> CliResult {
-    let data = PathBuf::from(args.req("data")?);
-    let out = PathBuf::from(args.req("out")?);
-    // The same shardcfg parse that backs `simserved --shards`.
-    let cfg = ShardConfig::parse(args.req("shards")?, args.opt("partitioner")).map_err(err)?;
-    let corpus =
-        Corpus::load_csv(&data).map_err(|e| err(format!("reading {}: {e}", data.display())))?;
-    let sharded = ShardedIndex::build(&corpus, cfg, IndexConfig::default())
-        .map_err(|e| err(e.to_string()))?;
-    sharded
-        .save(&out)
-        .map_err(|e| err(format!("saving sharded index: {e}")))?;
-    std::fs::write(out.join("names.txt"), corpus.names().join("\n"))
-        .map_err(|e| err(format!("saving names: {e}")))?;
-    println!(
-        "indexed {} sequences of length {} across {} shards ({}) into {}",
-        sharded.len(),
-        sharded.seq_len(),
-        sharded.shard_count(),
-        sharded.partitioner_kind(),
-        out.display()
-    );
-    Ok(())
-}
-
-/// `simseq shard info` — describe a persisted sharded index.
-fn shard_info(args: &Args) -> CliResult {
-    let (sharded, names) = open_sharded(args)?;
-    println!("sequences:   {}", sharded.len());
-    println!("length:      {}", sharded.seq_len());
-    println!("shards:      {}", sharded.shard_count());
-    println!("partitioner: {}", sharded.partitioner_kind());
-    println!("deleted:     {}", sharded.deleted_count());
-    let loads = sharded.shard_loads();
-    for (i, (load, handle)) in loads.iter().zip(sharded.shards()).enumerate() {
-        let index = handle.read();
-        println!("shard {i}:     {load} seqs, tree height {}", index.height());
-    }
-    if let Some(first) = names.first() {
-        println!("first name:  {first}");
-    }
-    Ok(())
-}
-
-/// `simseq shard query` — Query 1, scatter-gathered across the shards.
-fn shard_query(args: &Args) -> CliResult {
-    let (sharded, names) = open_sharded(args)?;
-    let family = family_from(args, sharded.seq_len())?;
-    let spec = shard_spec_from(args)?;
-    let q = shard_query_series(args, &sharded)?;
-    let engine = engine_pref_from(args)?;
-    sharded
-        .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
-    let lq = LogicalQuery::range(family.clone(), spec).with_engine(engine);
-    let (chosen, result, per_shard) =
-        gather::execute_range(&sharded, &lq, &q).map_err(|e| err(e.to_string()))?;
-
-    let limit: usize = args.parse_or("limit", 20)?;
-    let mut matches = result.matches.clone();
-    matches.sort_by(|a, b| a.dist.total_cmp(&b.dist));
-    for m in matches.iter().take(limit) {
-        println!(
-            "{:24} via {:12} D = {:.4}",
-            display_name(&names, m.seq),
-            family.transforms()[m.transform].label(),
-            m.dist
-        );
-    }
-    if matches.len() > limit {
-        println!("… and {} more (raise --limit)", matches.len() - limit);
-    }
-    eprintln!(
-        "{} matches over {} sequences | {}",
-        result.matches.len(),
-        result.matched_sequences().len(),
-        result.metrics
-    );
-    for (i, m) in per_shard.iter().enumerate() {
-        eprintln!("  shard {i}: {m}");
-    }
-    eprintln!("{}", plan_line(&chosen));
-    Ok(())
-}
-
-/// `simseq shard nn` — exact global kNN with bound propagation.
-fn shard_nn(args: &Args) -> CliResult {
-    let (sharded, names) = open_sharded(args)?;
-    let family = family_from(args, sharded.seq_len())?;
-    let k: usize = args.req_parse("k")?;
-    let q = shard_query_series(args, &sharded)?;
-    sharded
-        .reset_counters()
-        .map_err(|e| err(format!("resetting counters: {e}")))?;
-    let lq = LogicalQuery::knn(family.clone(), k);
-    let (_, matches, metrics, per_shard) =
-        gather::execute_knn(&sharded, &lq, &q).map_err(|e| err(e.to_string()))?;
-    for m in &matches {
-        println!(
-            "{:24} via {:12} D = {:.4}",
-            display_name(&names, m.seq),
-            family.transforms()[m.transform].label(),
-            m.dist
-        );
-    }
-    eprintln!("{metrics}");
-    for (i, m) in per_shard.iter().enumerate() {
-        eprintln!("  shard {i}: {m}");
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------
 
 /// Dials a server for the point commands (`promote`, `metrics`),
 /// honouring `--timeout-ms` (0 = no socket timeouts).
-fn connect_client(args: &Args, addr: &str) -> Result<simserve::client::Client, CliError> {
-    let cfg = match args.opt("timeout-ms") {
+fn connect_client(args: &Opts, addr: &str) -> Result<simserve::client::Client, String> {
+    let cfg = match args.parse_opt("timeout-ms")? {
         None => simserve::client::ClientConfig::default(),
-        Some(raw) => {
-            let ms: u64 = raw
-                .parse()
-                .map_err(|_| err(format!("--timeout-ms: cannot parse `{raw}`")))?;
-            simserve::client::ClientConfig::with_timeout_ms(ms)
-        }
+        Some(ms) => simserve::client::ClientConfig::with_timeout_ms(ms),
     };
     simserve::client::Client::connect_with(addr, cfg)
-        .map_err(|e| err(format!("connecting to {addr}: {e}")))
+        .map_err(|e| format!("connecting to {addr}: {e}"))
 }
 
-// Every `shard info`/`shard query`/`shard nn` invocation is read-only, so
-// skip the directory LOCK and coexist with a live simserved on the same
-// files.
-fn open_sharded(args: &Args) -> Result<(ShardedIndex, Vec<String>), CliError> {
-    let dir = PathBuf::from(args.req("index")?);
-    let sharded = ShardedIndex::open_read_only(&dir, 256)
-        .map_err(|e| err(format!("opening sharded index {}: {e}", dir.display())))?;
-    let names = std::fs::read_to_string(dir.join("names.txt"))
-        .map(|s| s.lines().map(String::from).collect())
-        .unwrap_or_default();
-    Ok((sharded, names))
+/// A persisted index in either layout.
+enum Index {
+    Single(SeqIndex),
+    Sharded(ShardedIndex),
 }
 
-/// Like [`spec_from`], but the `paper` filter policy is rejected: its
-/// false dismissals depend on tree layout, so the answer would vary with
-/// the shard count.
-fn shard_spec_from(args: &Args) -> Result<RangeSpec, CliError> {
-    if args.opt("policy") == Some("paper") {
-        return Err(err(
-            "--policy paper is tree-layout-dependent and may differ across \
-             shard counts; use adaptive|safe",
-        ));
-    }
-    spec_from(args)
-}
-
-fn shard_query_series(args: &Args, sharded: &ShardedIndex) -> Result<TimeSeries, CliError> {
-    if let Some(raw) = args.opt("query-index") {
-        let ordinal: usize = raw
-            .parse()
-            .map_err(|_| err(format!("--query-index: bad ordinal `{raw}`")))?;
-        if ordinal >= sharded.len() {
-            return Err(err(format!(
-                "--query-index {ordinal} out of range (0..{})",
-                sharded.len()
-            )));
+impl Index {
+    fn len(&self) -> usize {
+        match self {
+            Self::Single(index) => index.len(),
+            Self::Sharded(sharded) => sharded.len(),
         }
-        return sharded
-            .fetch_series(ordinal)
-            .map_err(|e| err(format!("fetching ordinal {ordinal}: {e}")));
     }
-    csv_query_series(args)
+
+    fn seq_len(&self) -> usize {
+        match self {
+            Self::Single(index) => index.seq_len(),
+            Self::Sharded(sharded) => sharded.seq_len(),
+        }
+    }
+
+    fn fetch_series(&self, ordinal: usize) -> Result<TimeSeries, String> {
+        match self {
+            Self::Single(index) => index.fetch_series(ordinal).map_err(|e| e.to_string()),
+            Self::Sharded(sharded) => sharded.fetch_series(ordinal).map_err(|e| e.to_string()),
+        }
+        .map_err(|e| format!("fetching ordinal {ordinal}: {e}"))
+    }
+
+    fn reset_counters(&self) -> CliResult {
+        match self {
+            Self::Single(index) => index.reset_counters(),
+            Self::Sharded(sharded) => sharded.reset_counters(),
+        }
+        .map_err(|e| format!("resetting counters: {e}"))
+    }
 }
 
 // `info`/`query`/`join`/`nn` are read-only, so skip the directory LOCK
-// and coexist with a live simserved on the same files.
-fn open_index(args: &Args) -> Result<(SeqIndex, Vec<String>), CliError> {
+// and coexist with a live simserved on the same files. A `sharding.txt`
+// marks the sharded layout, as for `recover` and `simserved`.
+fn open_index(args: &Opts) -> Result<(Index, Vec<String>), String> {
     let dir = PathBuf::from(args.req("index")?);
-    let index = SeqIndex::open_read_only(&dir, 256)
-        .map_err(|e| err(format!("opening index {}: {e}", dir.display())))?;
+    let oops = |e: std::io::Error| format!("opening index {}: {e}", dir.display());
+    let index = if dir.join("sharding.txt").is_file() {
+        Index::Sharded(ShardedIndex::open_read_only(&dir, 256).map_err(oops)?)
+    } else {
+        Index::Single(SeqIndex::open_read_only(&dir, 256).map_err(oops)?)
+    };
     let names = std::fs::read_to_string(dir.join("names.txt"))
         .map(|s| s.lines().map(String::from).collect())
         .unwrap_or_default();
     Ok((index, names))
+}
+
+fn print_per_shard(per_shard: &[EngineMetrics]) {
+    for (i, m) in per_shard.iter().enumerate() {
+        eprintln!("  shard {i}: {m}");
+    }
 }
 
 fn display_name(names: &[String], ordinal: usize) -> String {
@@ -711,43 +495,30 @@ fn display_name(names: &[String], ordinal: usize) -> String {
         .unwrap_or_else(|| format!("#{ordinal}"))
 }
 
-fn query_series(args: &Args, index: &SeqIndex) -> Result<TimeSeries, CliError> {
-    if let Some(raw) = args.opt("query-index") {
-        let ordinal: usize = raw
-            .parse()
-            .map_err(|_| err(format!("--query-index: bad ordinal `{raw}`")))?;
+fn query_series(args: &Opts, index: &Index) -> Result<TimeSeries, String> {
+    if let Some(ordinal) = args.parse_opt::<usize>("query-index")? {
         if ordinal >= index.len() {
-            return Err(err(format!(
+            return Err(format!(
                 "--query-index {ordinal} out of range (0..{})",
                 index.len()
-            )));
+            ));
         }
-        return index
-            .fetch_series(ordinal)
-            .map_err(|e| err(format!("fetching ordinal {ordinal}: {e}")));
+        return index.fetch_series(ordinal);
     }
-    csv_query_series(args)
-}
-
-fn csv_query_series(args: &Args) -> Result<TimeSeries, CliError> {
     let csv = Path::new(args.req("query-csv")?);
     let row: usize = args.req_parse("row")?;
-    let corpus =
-        Corpus::load_csv(csv).map_err(|e| err(format!("reading {}: {e}", csv.display())))?;
+    let corpus = Corpus::load_csv(csv).map_err(|e| format!("reading {}: {e}", csv.display()))?;
     if row >= corpus.len() {
-        return Err(err(format!(
-            "--row {row} out of range (0..{})",
-            corpus.len()
-        )));
+        return Err(format!("--row {row} out of range (0..{})", corpus.len()));
     }
     Ok(corpus.series()[row].clone())
 }
 
-fn family_from(args: &Args, n: usize) -> Result<Family, CliError> {
+fn family_from(args: &Opts, n: usize) -> Result<Family, String> {
     let mut parts: Vec<Family> = Vec::new();
     if let Some((lo, hi)) = args.range("ma")? {
         if hi > n {
-            return Err(err(format!("--ma window {hi} exceeds sequence length {n}")));
+            return Err(format!("--ma window {hi} exceeds sequence length {n}"));
         }
         parts.push(Family::moving_averages(lo.max(1)..=hi, n));
     }
@@ -764,24 +535,17 @@ fn family_from(args: &Args, n: usize) -> Result<Family, CliError> {
             iter.fold(first, |acc, next| next.compose(&acc))
         }
     };
-    if args.opt("inverted") == Some("yes") {
+    if args.get("inverted") == Some("yes") {
         family = family.with_inverted();
     }
     Ok(family)
 }
 
-/// `--engine` → planner preference. `mt` stays the default (matching the
-/// wire protocol); `auto` hands the choice to the cost model.
-fn engine_pref_from(args: &Args) -> Result<EnginePref, CliError> {
-    match args.opt("engine").unwrap_or("mt") {
-        "auto" => Ok(EnginePref::Auto),
-        "mt" => Ok(EnginePref::Force(EngineChoice::Mt)),
-        "st" => Ok(EnginePref::Force(EngineChoice::St)),
-        "scan" => Ok(EnginePref::Force(EngineChoice::Scan)),
-        other => Err(err(format!(
-            "--engine must be auto|mt|st|scan, got `{other}`"
-        ))),
-    }
+/// `--engine` → planner preference, through the wire protocol's engine
+/// names and default (`mt`); `auto` hands the choice to the cost model.
+fn engine_pref_from(args: &Opts) -> Result<EnginePref, String> {
+    let kind = args.parse_or("engine", EngineKind::default())?;
+    Ok(simserve::server::engine_pref(kind))
 }
 
 /// The one-line plan summary the query commands print to stderr.
@@ -797,33 +561,28 @@ fn plan_line(plan: &PhysicalPlan) -> String {
     )
 }
 
-fn spec_from(args: &Args) -> Result<RangeSpec, CliError> {
+fn spec_from(args: &Opts) -> Result<RangeSpec, String> {
     // Threshold validation is shared with the server's protocol parser
     // (`Threshold::parse_args`), so the two front ends cannot drift.
-    let mut spec = match Threshold::parse_args(args.opt("rho"), args.opt("eps"))
-        .map_err(|e| err(e.to_string()))?
-    {
-        Some(t) => RangeSpec::from_threshold(t),
-        None => RangeSpec::correlation(0.96), // the paper's default
-    };
-    spec = match args.opt("policy").unwrap_or("adaptive") {
+    let mut spec =
+        match Threshold::parse_args(args.get("rho"), args.get("eps")).map_err(|e| e.to_string())? {
+            Some(t) => RangeSpec::from_threshold(t),
+            None => RangeSpec::correlation(0.96), // the paper's default
+        };
+    spec = match args.get("policy").unwrap_or("adaptive") {
         "adaptive" => spec.with_policy(FilterPolicy::Adaptive),
         "safe" => spec.with_policy(FilterPolicy::Safe),
         "paper" => spec.with_policy(FilterPolicy::Paper),
         other => {
-            return Err(err(format!(
+            return Err(format!(
                 "--policy must be adaptive|safe|paper, got `{other}`"
-            )))
+            ))
         }
     };
-    spec = match args.opt("mode").unwrap_or("symmetric") {
+    spec = match args.get("mode").unwrap_or("symmetric") {
         "symmetric" => spec.with_mode(QueryMode::Symmetric),
         "data-only" => spec.with_mode(QueryMode::DataOnly),
-        other => {
-            return Err(err(format!(
-                "--mode must be symmetric|data-only, got `{other}`"
-            )))
-        }
+        other => return Err(format!("--mode must be symmetric|data-only, got `{other}`")),
     };
     Ok(spec)
 }

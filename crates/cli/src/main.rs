@@ -7,50 +7,35 @@
 //! simseq query --index idx/ --query-index 42 --ma 5..34 --rho 0.96
 //! simseq join  --index idx/ --ma 5..14 --rho 0.99
 //! simseq nn    --index idx/ --query-index 42 --k 5 --ma 2..20
+//! simseq build --data data.csv --out sidx/ --shards 4
+//! simseq query --index sidx/ --query-index 42 --ma 5..34 --rho 0.96
 //! simseq serve --index idx/ --addr 127.0.0.1:7878
 //! simseq load  --addr 127.0.0.1:7878 --conns 8 --ops 100
 //! simseq promote --addr 127.0.0.1:7879
 //! simseq metrics --addr 127.0.0.1:7878
 //! simseq recover --index idx/ --wal wal/
-//! simseq shard build --data data.csv --out sidx/ --shards 4
-//! simseq shard query --index sidx/ --query-index 42 --ma 5..34 --rho 0.96
 //! ```
 
-mod args;
 mod commands;
 
-use args::Args;
+use simserve::opts::Opts;
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("help") || argv.is_empty() {
+    let Some((sub, rest)) = argv.split_first().filter(|(sub, _)| *sub != "help") else {
         print!("{}", commands::USAGE);
         return;
-    }
-    // `shard` prefixes a nested subcommand: `simseq shard build --…`.
-    if argv.first().map(String::as_str) == Some("shard") {
-        if let Err(e) = commands::shard(&argv[1..]) {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    let result = Args::parse(&argv).and_then(|args| match args.sub() {
-        "gen" => commands::gen(&args),
-        "build" => commands::build(&args),
-        "info" => commands::info(&args),
-        "query" => commands::query(&args),
-        "join" => commands::join(&args),
-        "nn" => commands::nn(&args),
-        "serve" => commands::serve(&args),
-        "load" => commands::load(&args),
-        "promote" => commands::promote(&args),
-        "metrics" => commands::metrics(&args),
-        "recover" => commands::recover(&args),
-        other => Err(args::err(format!(
-            "unknown subcommand `{other}`; try `simseq help`"
-        ))),
-    });
+    };
+    let result = match sub.as_str() {
+        "serve" => simserve::startup::serve(rest),
+        "load" => simserve::startup::load(rest),
+        other => match commands::COMMANDS.iter().find(|(name, ..)| *name == other) {
+            Some((_, flags, run)) => Opts::parse(rest, &flags.join(" "))
+                .map_err(String::from)
+                .and_then(|opts| run(&opts)),
+            None => Err(format!("unknown subcommand `{other}`; try `simseq help`")),
+        },
+    };
     if let Err(e) = result {
         eprintln!("error: {e}");
         std::process::exit(1);

@@ -9,30 +9,13 @@
 use crate::feature::{FRect, SeqFeatures, DIMS};
 use crate::report::QueryError;
 use pagestore::{BufferPool, Disk, DynHeapFile, PageDevice, PageError};
-use rstartree::{
-    bulk_load_str, MemStore, Neighbor, NodeStore, PagedStore, Params, RStarTree, SearchStats,
-};
+use rstartree::{bulk_load_str, Neighbor, NodeStore, PagedStore, Params, RStarTree, SearchStats};
 use std::sync::Arc;
 use tseries::{Corpus, TimeSeries};
-
-/// Where tree nodes live.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StoreKind {
-    /// Nodes serialised to pages of a simulated disk; node reads are disk
-    /// accesses (the paper's cold-per-query accounting).
-    #[default]
-    Paged,
-    /// Nodes in memory; accesses still counted identically.
-    Mem,
-}
 
 /// Index construction options.
 #[derive(Clone, Copy, Debug)]
 pub struct IndexConfig {
-    /// Node storage backend.
-    pub store: StoreKind,
-    /// Fanout override; defaults to the page capacity (78 at `D = 6`).
-    pub fanout: Option<usize>,
     /// Bulk-load with STR (fast, well-packed) instead of one-by-one
     /// R*-tree insertion.
     pub bulk: bool,
@@ -43,17 +26,10 @@ pub struct IndexConfig {
 impl Default for IndexConfig {
     fn default() -> Self {
         Self {
-            store: StoreKind::Paged,
-            fanout: None,
             bulk: true,
             heap_pool_pages: 64,
         }
     }
-}
-
-enum TreeImpl {
-    Mem(RStarTree<DIMS, MemStore<DIMS>>),
-    Paged(RStarTree<DIMS, PagedStore<DIMS>>),
 }
 
 /// Combined access counters of the index structures.
@@ -71,7 +47,9 @@ pub struct AccessCounters {
 
 /// An indexed corpus of equal-length sequences.
 pub struct SeqIndex {
-    tree: TreeImpl,
+    // Nodes live on pages of a simulated disk, so node reads are disk
+    // accesses (the paper's cold-per-query accounting).
+    tree: RStarTree<DIMS, PagedStore<DIMS>>,
     heap: DynHeapFile,
     heap_pool: Arc<BufferPool>,
     // Concrete disk handles, kept only when the index owns plain in-memory
@@ -156,21 +134,17 @@ impl SeqIndex {
             }
         }
 
-        let params = match config.fanout {
-            Some(f) => Params::with_max(f),
-            None => Params::for_dimension::<DIMS>(),
-        };
+        let params = Params::for_dimension::<DIMS>();
         let leaf_capacity = params.max_entries;
-
-        let tree = match config.store {
-            StoreKind::Mem => {
-                let store = MemStore::new();
-                TreeImpl::Mem(build_tree(store, params, items, config.bulk)?)
+        let store = PagedStore::new_dyn(tree_device);
+        let tree = if config.bulk {
+            bulk_load_str(store, params, items)
+        } else {
+            let mut tree = RStarTree::with_params(store, params);
+            for (rect, data) in items {
+                tree.insert(rect, data)?;
             }
-            StoreKind::Paged => {
-                let store = PagedStore::new_dyn(tree_device);
-                TreeImpl::Paged(build_tree(store, params, items, config.bulk)?)
-            }
+            tree
         };
 
         Ok(Some(Self {
@@ -209,10 +183,7 @@ impl SeqIndex {
         match SeqFeatures::extract(ts) {
             Some(f) => {
                 let rect = rstartree::Rect::point(f.point);
-                match &mut self.tree {
-                    TreeImpl::Mem(t) => t.insert(rect, ordinal as u64)?,
-                    TreeImpl::Paged(t) => t.insert(rect, ordinal as u64)?,
-                }
+                self.tree.insert(rect, ordinal as u64)?
             }
             None => self.skipped.push(ordinal),
         }
@@ -233,10 +204,7 @@ impl SeqIndex {
             let ts = self.fetch_series(ordinal)?;
             let f = SeqFeatures::extract(&ts).expect("indexed entries are non-degenerate");
             let rect = rstartree::Rect::point(f.point);
-            let removed = match &mut self.tree {
-                TreeImpl::Mem(t) => t.delete(&rect, ordinal as u64)?,
-                TreeImpl::Paged(t) => t.delete(&rect, ordinal as u64)?,
-            };
+            let removed = self.tree.delete(&rect, ordinal as u64)?;
             debug_assert!(removed, "tree entry for live ordinal {ordinal} must exist");
         }
         self.deleted[ordinal] = true;
@@ -286,19 +254,13 @@ impl SeqIndex {
 
     /// Tree height.
     pub fn height(&self) -> u32 {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.height(),
-            TreeImpl::Paged(t) => t.height(),
-        }
+        self.tree.height()
     }
 
     /// Per-level node counts and mean MBR extents — the structural inputs
     /// of the analytical cost model (§4.3). One full tree walk.
     pub fn level_summaries(&self) -> Result<Vec<rstartree::LevelSummary<DIMS>>, PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.level_summaries(),
-            TreeImpl::Paged(t) => t.level_summaries(),
-        }
+        self.tree.level_summaries()
     }
 
     /// Prepares a query sequence: validates its length and extracts its
@@ -361,10 +323,7 @@ impl SeqIndex {
         pred: impl FnMut(&FRect) -> bool,
         on_data: impl FnMut(&FRect, u64),
     ) -> Result<SearchStats, PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.search(pred, on_data),
-            TreeImpl::Paged(t) => t.search(pred, on_data),
-        }
+        self.tree.search(pred, on_data)
     }
 
     /// Duplicate-free self join (see [`RStarTree::self_join`]).
@@ -373,10 +332,7 @@ impl SeqIndex {
         pred: impl FnMut(&FRect, &FRect) -> bool,
         on_pair: impl FnMut(&FRect, u64, &FRect, u64),
     ) -> Result<SearchStats, PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.self_join(pred, on_pair),
-            TreeImpl::Paged(t) => t.self_join(pred, on_pair),
-        }
+        self.tree.self_join(pred, on_pair)
     }
 
     /// Best-first nearest-neighbour search (see [`RStarTree::nearest_by`]).
@@ -387,10 +343,7 @@ impl SeqIndex {
         node_bound: impl FnMut(&FRect) -> f64,
         leaf_score: impl FnMut(&FRect, u64) -> Option<f64>,
     ) -> Result<(Vec<Neighbor<DIMS>>, SearchStats), PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.nearest_by(k, node_bound, leaf_score),
-            TreeImpl::Paged(t) => t.nearest_by(k, node_bound, leaf_score),
-        }
+        self.tree.nearest_by(k, node_bound, leaf_score)
     }
 
     /// Optimal multi-step k-NN (see [`RStarTree::nearest_by_refine`]).
@@ -402,10 +355,8 @@ impl SeqIndex {
         leaf_bound: impl FnMut(&FRect, u64) -> f64,
         refine: impl FnMut(&FRect, u64) -> Option<f64>,
     ) -> Result<(Vec<Neighbor<DIMS>>, SearchStats), PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.nearest_by_refine(k, node_bound, leaf_bound, refine),
-            TreeImpl::Paged(t) => t.nearest_by_refine(k, node_bound, leaf_bound, refine),
-        }
+        self.tree
+            .nearest_by_refine(k, node_bound, leaf_bound, refine)
     }
 
     /// [`Self::nearest_by_refine`] seeded with an external pruning bound
@@ -421,24 +372,15 @@ impl SeqIndex {
         leaf_bound: impl FnMut(&FRect, u64) -> f64,
         refine: impl FnMut(&FRect, u64) -> Option<f64>,
     ) -> Result<(Vec<Neighbor<DIMS>>, SearchStats), PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => {
-                t.nearest_by_refine_bounded(k, bound, node_bound, leaf_bound, refine)
-            }
-            TreeImpl::Paged(t) => {
-                t.nearest_by_refine_bounded(k, bound, node_bound, leaf_bound, refine)
-            }
-        }
+        self.tree
+            .nearest_by_refine_bounded(k, bound, node_bound, leaf_bound, refine)
     }
 
     /// Zeroes all access counters and empties the record pool, so the next
     /// query is measured cold (the paper's per-query accounting). Fails when
     /// flushing a dirty record page back to a faulted device fails.
     pub fn reset_counters(&self) -> Result<(), PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.store().reset_stats(),
-            TreeImpl::Paged(t) => t.store().reset_stats(),
-        }
+        self.tree.store().reset_stats();
         self.heap_pool.clear()?;
         self.heap_pool.reset_stats();
         self.heap_pool.device().reset_stats();
@@ -448,10 +390,7 @@ impl SeqIndex {
 
     /// Snapshot of the access counters.
     pub fn counters(&self) -> AccessCounters {
-        let node_reads = match &self.tree {
-            TreeImpl::Mem(t) => t.store().stats().reads,
-            TreeImpl::Paged(t) => t.store().stats().reads,
-        };
+        let node_reads = self.tree.store().stats().reads;
         AccessCounters {
             node_reads,
             record_page_reads: self.heap_pool.stats().misses,
@@ -462,36 +401,13 @@ impl SeqIndex {
     /// Structural self-check (test support). `Err` means a device failure
     /// prevented the check, not an invariant violation (those panic).
     pub fn validate(&self) -> Result<usize, PageError> {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.validate(),
-            TreeImpl::Paged(t) => t.validate(),
-        }
+        self.tree.validate()
     }
 
     /// True when a mutation aborted mid-way on a device error, leaving the
     /// tree structurally suspect (see [`RStarTree::is_poisoned`]).
     pub fn tree_poisoned(&self) -> bool {
-        match &self.tree {
-            TreeImpl::Mem(t) => t.is_poisoned(),
-            TreeImpl::Paged(t) => t.is_poisoned(),
-        }
-    }
-}
-
-fn build_tree<S: rstartree::NodeStore<DIMS>>(
-    store: S,
-    params: Params,
-    items: Vec<(FRect, u64)>,
-    bulk: bool,
-) -> Result<RStarTree<DIMS, S>, PageError> {
-    if bulk {
-        Ok(bulk_load_str(store, params, items))
-    } else {
-        let mut tree = RStarTree::with_params(store, params);
-        for (rect, data) in items {
-            tree.insert(rect, data)?;
-        }
-        Ok(tree)
+        self.tree.is_poisoned()
     }
 }
 
@@ -570,27 +486,6 @@ mod tests {
         // Pool was cleared: refetching costs again.
         let _ = idx.fetch(0).unwrap();
         assert_eq!(idx.counters().record_page_reads, 1);
-    }
-
-    #[test]
-    fn mem_and_paged_stores_agree() {
-        let c = corpus(150);
-        let a = SeqIndex::build(
-            &c,
-            IndexConfig {
-                store: StoreKind::Mem,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let b = SeqIndex::build(&c, IndexConfig::default()).unwrap();
-        let mut got_a = Vec::new();
-        let mut got_b = Vec::new();
-        a.search(|_| true, |_, d| got_a.push(d)).unwrap();
-        b.search(|_| true, |_, d| got_b.push(d)).unwrap();
-        got_a.sort_unstable();
-        got_b.sort_unstable();
-        assert_eq!(got_a, got_b);
     }
 
     #[test]
@@ -695,7 +590,7 @@ impl SeqIndex {
 
     /// Persists the index to `dir`, stamping the snapshot with
     /// `wal_epoch`: the tree's page image, the record heap's page image,
-    /// and a small metadata file. Only paged indexes can be saved.
+    /// and a small metadata file.
     ///
     /// The save is crash-atomic. Page images go to *fresh*
     /// generation-numbered file names (`tree-<gen>.pg`), then `meta.txt` —
@@ -704,11 +599,7 @@ impl SeqIndex {
     /// previous, untouched images; the orphaned half-written generation
     /// is deleted by the next successful save over the directory.
     pub fn save_with_epoch(&self, dir: &std::path::Path, wal_epoch: u64) -> std::io::Result<()> {
-        let TreeImpl::Paged(tree) = &self.tree else {
-            return Err(std::io::Error::other(
-                "only StoreKind::Paged indexes can be saved",
-            ));
-        };
+        let tree = &self.tree;
         let (Some(tree_disk), Some(heap_disk)) = (&self.tree_disk, &self.heap_disk) else {
             return Err(std::io::Error::other(
                 "indexes built on custom devices cannot be saved",
@@ -963,7 +854,7 @@ impl SeqIndex {
         );
 
         Ok(Self {
-            tree: TreeImpl::Paged(tree),
+            tree,
             heap,
             heap_pool,
             tree_disk: tree_handle,
@@ -1119,20 +1010,6 @@ mod persistence_tests {
             assert_eq!(a.values(), b.values());
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn mem_index_refuses_to_save() {
-        let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 10, 64, 1);
-        let index = SeqIndex::build(
-            &corpus,
-            IndexConfig {
-                store: StoreKind::Mem,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(index.save(&tmpdir("mem")).is_err());
     }
 
     #[test]

@@ -1,5 +1,9 @@
-//! Heap files with a record size fixed at *creation* time rather than at
-//! compile time — sequence records whose length depends on the corpus.
+//! Heap files of equal-size byte records, the size fixed at creation —
+//! sequence records whose length depends on the corpus.
+//!
+//! Algorithm 1's post-processing step ("retrieve its full database
+//! record") reads from here, and those reads are part of the measured
+//! disk traffic.
 
 use crate::buffer::BufferPool;
 use crate::error::PageError;
@@ -7,7 +11,14 @@ use crate::page::{PageId, PAGE_SIZE};
 use crate::sync::Mutex;
 use std::sync::Arc;
 
-use crate::heap::RecordId;
+/// Address of a record: page plus slot.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
+pub struct RecordId {
+    /// The page holding the record.
+    pub page: PageId,
+    /// Slot index within the page.
+    pub slot: u16,
+}
 
 const HEADER: usize = 8; // [count: u16][pad: 6]
 

@@ -25,7 +25,11 @@
 //!   and partition tests;
 //! * [`load`] — the `simload` closed-loop load generator: N concurrent
 //!   connections replaying seeded workloads, with optional result-parity
-//!   verification against a directly-opened copy of the index.
+//!   verification against a directly-opened copy of the index;
+//! * [`opts`] — the `--key value` flag parser of every command line;
+//! * [`startup`] — what `simserved` and `simload` (and `simseq serve` /
+//!   `simseq load`) run: flags in, index/WAL/shards/follower opened,
+//!   server or load run started.
 //!
 //! The index is shared across workers through
 //! [`simquery::shared::SharedIndex`]: queries run under a read guard (the
@@ -43,3 +47,4 @@ pub mod pool;
 pub mod protocol;
 pub mod repl;
 pub mod server;
+pub mod startup;

@@ -36,14 +36,22 @@ impl EngineKind {
             Self::Auto => "auto",
         }
     }
+}
 
-    fn parse(s: &str) -> Result<Self, ProtoError> {
+/// The one engine-name table: the wire's `engine=` key and every
+/// command line's `--engine` flag parse through it.
+impl std::str::FromStr for EngineKind {
+    type Err = ProtoError;
+
+    fn from_str(s: &str) -> Result<Self, ProtoError> {
         match s {
             "mt" => Ok(Self::Mt),
             "st" => Ok(Self::St),
             "scan" => Ok(Self::Scan),
             "auto" => Ok(Self::Auto),
-            other => Err(ProtoError::bad(format!("unknown engine `{other}`"))),
+            other => Err(ProtoError::bad(format!(
+                "unknown engine `{other}` (expected mt|st|scan|auto)"
+            ))),
         }
     }
 }
@@ -1339,7 +1347,7 @@ impl<'a> KvTokens<'a> {
     fn engine(&self) -> Result<EngineKind, ProtoError> {
         match self.get("engine") {
             None => Ok(EngineKind::default()),
-            Some(s) => EngineKind::parse(s),
+            Some(s) => s.parse(),
         }
     }
 }

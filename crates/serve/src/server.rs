@@ -688,7 +688,7 @@ fn family_for(ma: (usize, usize), seq_len: usize) -> Result<Family, Response> {
 }
 
 /// Wire engine choice → planner preference.
-pub(crate) fn engine_pref(kind: EngineKind) -> EnginePref {
+pub fn engine_pref(kind: EngineKind) -> EnginePref {
     match kind {
         EngineKind::Mt => EnginePref::Force(EngineChoice::Mt),
         EngineKind::St => EnginePref::Force(EngineChoice::St),

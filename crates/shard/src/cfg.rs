@@ -1,6 +1,6 @@
 //! Shard configuration: one place that parses and validates the shard
-//! count and partitioner choice, shared by `simserved --shards`, the
-//! `simseq shard` subcommands, and the benches — so the accepted spellings
+//! count and partitioner choice, shared by `simserved --shards`,
+//! `simseq build --shards`, and the benches — so the accepted spellings
 //! and limits cannot drift between entry points.
 
 use std::fmt;

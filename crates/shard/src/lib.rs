@@ -26,6 +26,5 @@ pub mod index;
 pub mod partition;
 
 pub use cfg::{PartitionerKind, ShardConfig, MAX_SHARDS};
-pub use gather::Engine;
 pub use index::{ShardError, ShardRecovery, ShardedIndex};
 pub use partition::{Partitioner, ShardMap};

@@ -5,6 +5,7 @@
 
 use simquery::engine::mtindex;
 use simquery::index::IndexConfig;
+use simquery::plan::{EngineChoice, EnginePref, LogicalQuery};
 use simquery::query::{FilterPolicy, RangeSpec};
 use simquery::transform::Family;
 use simshard::{PartitionerKind, ShardConfig, ShardedIndex};
@@ -85,9 +86,10 @@ fn mixed_traffic_stays_consistent() {
     let extra = Corpus::generate(CorpusKind::SyntheticWalks, 12, LEN, 321);
     let family = Family::moving_averages(2..=5, LEN);
     let spec = RangeSpec::correlation(0.9).with_policy(FilterPolicy::Safe);
+    let lq = LogicalQuery::range(family, spec).with_engine(EnginePref::Force(EngineChoice::Mt));
 
     std::thread::scope(|scope| {
-        let (s, c, family, spec, extra) = (&s, &c, &family, &spec, &extra);
+        let (s, c, lq, extra) = (&s, &c, &lq, &extra);
         scope.spawn(move || {
             for ts in extra.series() {
                 s.insert_series(ts).unwrap();
@@ -97,8 +99,7 @@ fn mixed_traffic_stays_consistent() {
             scope.spawn(move || {
                 for i in 0..6 {
                     let q = &c.series()[(t * 13 + i) % 80];
-                    let r = simshard::gather::range_query(s, simshard::Engine::Mt, q, family, spec)
-                        .unwrap();
+                    let (_, r, _) = simshard::gather::execute_range(s, lq, q).unwrap();
                     assert!(r.matched_sequences().iter().all(|&g| g < s.len()));
                 }
             });

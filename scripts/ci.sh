@@ -3,7 +3,8 @@
 # suite, and formatting. Run from anywhere inside the repo.
 #
 # Stages:
-#   scripts/ci.sh           # tier-1: build + tests + fmt (the default)
+#   scripts/ci.sh           # tier-1: build + tests (incl. perfbench's
+#                           # self-tests) + clippy + fmt (the default)
 #   scripts/ci.sh chaos     # tier-2: seeded fault-injection suites only
 #   scripts/ci.sh recovery  # tier-2: crash-point WAL recovery suites only
 #   scripts/ci.sh parity    # tier-2: planner-parity grid (plan layer vs
@@ -216,6 +217,11 @@ all)
 
     echo "== cargo test =="
     cargo test -q --offline
+
+    # perfbench is its own workspace with path deps on crates/*: building
+    # it here fails the stage when a public-API change breaks it.
+    echo "== perfbench: build + self-tests =="
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
     echo "== cargo clippy =="
     cargo clippy --offline --all-targets -- -D warnings
