@@ -15,10 +15,10 @@
 
 use bench::table::{f2, Table};
 use simquery::index::{IndexConfig, SeqIndex};
-use simquery::shared::SharedIndex;
 use simserve::client::Client;
 use simserve::repl::{self, FollowerOpts};
 use simserve::server::{serve, ServerConfig};
+use simshard::{ShardConfig, ShardedIndex};
 use simwal::FsyncPolicy;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -73,7 +73,7 @@ fn run_one(snapshot: &PathBuf, followers: usize, inserts: usize, seed: u64) -> R
     let wal = scratch(&format!("wal_f{followers}"));
     copy_dir(snapshot, &idx);
     let (shared, _) =
-        SharedIndex::open_durable(&idx, &wal, 64, FsyncPolicy::Never).expect("open durable");
+        ShardedIndex::open_durable(&idx, &wal, 64, FsyncPolicy::Never).expect("open durable");
     let handle = serve(shared, &server_config()).expect("serve primary");
     let addr = handle.addr.to_string();
 
@@ -82,6 +82,7 @@ fn run_one(snapshot: &PathBuf, followers: usize, inserts: usize, seed: u64) -> R
     for _ in 0..followers {
         let (_, follower) = repl::bootstrap(
             &addr,
+            ShardConfig::default(),
             FollowerOpts {
                 batch: 0,
                 wait_ms: 0,

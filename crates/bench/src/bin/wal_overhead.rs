@@ -9,7 +9,7 @@
 
 use bench::table::{f2, Table};
 use simquery::index::{IndexConfig, SeqIndex};
-use simquery::shared::SharedIndex;
+use simshard::ShardedIndex;
 use simwal::FsyncPolicy;
 use std::path::PathBuf;
 use tseries::rng::SeededRng;
@@ -58,9 +58,9 @@ fn run_one(snapshot: &PathBuf, mode: Mode, inserts: usize, seed: u64) -> RunStat
     copy_dir(snapshot, &idx);
 
     let shared = match mode {
-        Mode::NoWal => SharedIndex::new(SeqIndex::open(&idx, 64).expect("open snapshot")),
+        Mode::NoWal => ShardedIndex::open(&idx, 64).expect("open snapshot"),
         Mode::Wal(policy) => {
-            SharedIndex::open_durable(&idx, &wal, 64, policy)
+            ShardedIndex::open_durable(&idx, &wal, 64, policy)
                 .expect("open durable")
                 .0
         }

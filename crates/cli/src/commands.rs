@@ -1,6 +1,5 @@
 //! Subcommand implementations.
 
-use simquery::plan;
 use simquery::prelude::*;
 use simserve::opts::Opts;
 use simserve::protocol::EngineKind;
@@ -38,11 +37,12 @@ Eq. 9; --eps is a Euclidean distance over transformed normal forms.
 
 `build --shards N` partitions the corpus across N independent indexes
 and writes the sharded layout (a directory with `sharding.txt`).
-`info`, `query`, `nn` and `recover` detect that layout and open either
-one: sharded queries scatter-gather across the shards, return exactly
-the single-index answer, and print each shard's metrics to stderr.
+`info`, `query`, `nn` and `recover` open either layout (a single-index
+directory is a 1-shard index): sharded queries scatter-gather across
+the shards, return exactly the single-index answer, and print each
+shard's metrics to stderr.
 `--policy paper` is refused on a sharded index (its false dismissals
-depend on tree layout), and `join` requires an unsharded one.
+depend on tree layout), and `join` requires a 1-shard one.
 
 `serve` and `load` are the `simserved` and `simload` daemons: the same
 code, the same flags and the same help text.
@@ -166,22 +166,17 @@ fn info(args: &Opts) -> CliResult {
     let (index, names) = open_index(args)?;
     println!("sequences:   {}", index.len());
     println!("length:      {}", index.seq_len());
-    match &index {
-        Index::Single(index) => {
-            println!("tree height: {}", index.height());
-            println!("leaf fanout: {}", index.leaf_capacity());
-            println!("skipped:     {}", index.skipped().len());
-            println!("deleted:     {}", index.deleted_count());
-        }
-        Index::Sharded(sharded) => {
-            println!("shards:      {}", sharded.shard_count());
-            println!("partitioner: {}", sharded.partitioner_kind());
-            println!("deleted:     {}", sharded.deleted_count());
-            let loads = sharded.shard_loads();
-            for (i, (load, handle)) in loads.iter().zip(sharded.shards()).enumerate() {
-                let index = handle.read();
-                println!("shard {i}:     {load} seqs, tree height {}", index.height());
-            }
+    println!("shards:      {}", index.shard_count());
+    println!("partitioner: {}", index.partitioner_kind());
+    println!("tree height: {}", index.height());
+    println!("leaf fanout: {}", index.leaf_capacity());
+    println!("skipped:     {}", index.skipped_count());
+    println!("deleted:     {}", index.deleted_count());
+    if index.shard_count() > 1 {
+        let loads = index.shard_loads();
+        for (i, (load, handle)) in loads.iter().zip(index.shards()).enumerate() {
+            let height = handle.read().height();
+            println!("shard {i}:     {load} seqs, tree height {height}");
         }
     }
     if let Some(first) = names.first() {
@@ -195,7 +190,7 @@ fn query(args: &Opts) -> CliResult {
     let (index, names) = open_index(args)?;
     let family = family_from(args, index.seq_len())?;
     let spec = spec_from(args)?;
-    if matches!(index, Index::Sharded(_)) && spec.policy == FilterPolicy::Paper {
+    if index.shard_count() > 1 && spec.policy == FilterPolicy::Paper {
         return Err(
             "--policy paper is tree-layout-dependent and may differ across \
              shard counts; use adaptive|safe"
@@ -204,20 +199,9 @@ fn query(args: &Opts) -> CliResult {
     }
     let q = query_series(args, &index)?;
     let lq = LogicalQuery::range(family.clone(), spec).with_engine(engine_pref_from(args)?);
-    index.reset_counters()?;
-    let (chosen, result, per_shard) = match &index {
-        Index::Single(index) => {
-            let (chosen, out) = plan::run(index, &StatsRegistry::new(), &lq, Some(&q))
-                .map_err(|e| e.to_string())?;
-            let PlanOutput::Range(result) = out else {
-                return Err("range plan produced a non-range result".into());
-            };
-            (chosen, result, Vec::new())
-        }
-        Index::Sharded(sharded) => {
-            gather::execute_range(sharded, &lq, &q).map_err(|e| e.to_string())?
-        }
-    };
+    reset_counters(&index)?;
+    let (chosen, result, per_shard) =
+        gather::execute_range(&index, &lq, &q).map_err(|e| e.to_string())?;
 
     let limit: usize = args.parse_or("limit", 20)?;
     let mut matches = result.matches.clone();
@@ -244,24 +228,22 @@ fn query(args: &Opts) -> CliResult {
     Ok(())
 }
 
-/// `simseq join` — Query 2 (single layout only).
+/// `simseq join` — Query 2 (1-shard indexes only).
 fn join(args: &Opts) -> CliResult {
-    let (Index::Single(index), names) = open_index(args)? else {
+    let (index, names) = open_index(args)?;
+    if index.shard_count() > 1 {
         return Err(
             "JOIN is not supported on a sharded index (pairs cross shards); \
              build the index without --shards to join"
                 .into(),
         );
-    };
+    }
     let family = family_from(args, index.seq_len())?;
     let spec = spec_from(args)?;
     let engine = engine_pref_from(args)?;
-    index
-        .reset_counters()
-        .map_err(|e| format!("resetting counters: {e}"))?;
+    reset_counters(&index)?;
     let lq = LogicalQuery::join(family.clone(), spec).with_engine(engine);
-    let stats = StatsRegistry::new();
-    let (chosen, out) = plan::run(&index, &stats, &lq, None).map_err(|e| e.to_string())?;
+    let (chosen, out, _) = gather::execute_timed(&index, &lq, None).map_err(|e| e.to_string())?;
     let PlanOutput::Join(result) = out else {
         return Err("join plan produced a non-join result".into());
     };
@@ -293,23 +275,10 @@ fn nn(args: &Opts) -> CliResult {
     let family = family_from(args, index.seq_len())?;
     let k: usize = args.req_parse("k")?;
     let q = query_series(args, &index)?;
-    index.reset_counters()?;
+    reset_counters(&index)?;
     let lq = LogicalQuery::knn(family.clone(), k);
-    let (matches, metrics, per_shard) = match &index {
-        Index::Single(index) => {
-            let (_, out) = plan::run(index, &StatsRegistry::new(), &lq, Some(&q))
-                .map_err(|e| e.to_string())?;
-            let PlanOutput::Knn(matches, metrics) = out else {
-                return Err("kNN plan produced a non-kNN result".into());
-            };
-            (matches, metrics, Vec::new())
-        }
-        Index::Sharded(sharded) => {
-            let (_, matches, metrics, per_shard) =
-                gather::execute_knn(sharded, &lq, &q).map_err(|e| e.to_string())?;
-            (matches, metrics, per_shard)
-        }
-    };
+    let (_, matches, metrics, per_shard) =
+        gather::execute_knn(&index, &lq, &q).map_err(|e| e.to_string())?;
     for m in &matches {
         println!(
             "{:24} via {:12} D = {:.4}",
@@ -373,44 +342,22 @@ fn recover(args: &Opts) -> CliResult {
     let pool_pages: usize = args.parse_or("pool-pages", 256)?;
     let policy = simwal::FsyncPolicy::Always;
     let oops = |e: &dyn std::fmt::Display| format!("recovering {}: {e}", dir.display());
-    if dir.join("sharding.txt").is_file() {
-        let (sharded, rec) =
-            ShardedIndex::open_durable(&dir, &wal, pool_pages, policy).map_err(|e| oops(&e))?;
-        println!("shards:      {}", sharded.shard_count());
-        println!("wal epoch:   {}", rec.epoch);
-        println!("replayed:    {} frames", rec.replayed);
-        println!(
-            "dropped:     {} frames (past the first unsynced gap)",
-            rec.dropped
-        );
-        println!(
-            "stale:       {} frames (already in the snapshot)",
-            rec.stale_frames
-        );
-        println!("torn bytes:  {} truncated", rec.truncated_bytes);
-        let epoch = sharded.checkpoint().map_err(|e| oops(&e))?;
-        println!(
-            "checkpointed {} sequences at epoch {}",
-            sharded.len(),
-            epoch.expect("durable index checkpoints")
-        );
-    } else {
-        let (shared, rep) =
-            SharedIndex::open_durable(&dir, &wal, pool_pages, policy).map_err(|e| oops(&e))?;
-        println!("wal epoch:   {}", rep.epoch);
-        println!("replayed:    {} frames", rep.frames);
-        println!(
-            "stale:       {} frames (already in the snapshot)",
-            rep.stale_frames
-        );
-        println!("torn bytes:  {} truncated", rep.truncated_bytes);
-        let epoch = shared.checkpoint().map_err(|e| oops(&e))?;
-        println!(
-            "checkpointed {} sequences at epoch {}",
-            shared.read().len(),
-            epoch.expect("durable index checkpoints")
-        );
-    }
+    let (index, rep) =
+        ShardedIndex::open_durable(&dir, &wal, pool_pages, policy).map_err(|e| oops(&e))?;
+    println!("shards:      {}", index.shard_count());
+    println!("wal epoch:   {}", rep.epoch);
+    println!("replayed:    {} frames", rep.frames);
+    println!(
+        "stale:       {} frames (already in the snapshot)",
+        rep.stale_frames
+    );
+    println!("torn bytes:  {} truncated", rep.truncated_bytes);
+    let epoch = index.checkpoint().map_err(|e| oops(&e))?;
+    println!(
+        "checkpointed {} sequences at epoch {}",
+        index.len(),
+        epoch.expect("durable index checkpoints")
+    );
     Ok(())
 }
 
@@ -427,62 +374,30 @@ fn connect_client(args: &Opts, addr: &str) -> Result<simserve::client::Client, S
         .map_err(|e| format!("connecting to {addr}: {e}"))
 }
 
-/// A persisted index in either layout.
-enum Index {
-    Single(SeqIndex),
-    Sharded(ShardedIndex),
-}
-
-impl Index {
-    fn len(&self) -> usize {
-        match self {
-            Self::Single(index) => index.len(),
-            Self::Sharded(sharded) => sharded.len(),
-        }
-    }
-
-    fn seq_len(&self) -> usize {
-        match self {
-            Self::Single(index) => index.seq_len(),
-            Self::Sharded(sharded) => sharded.seq_len(),
-        }
-    }
-
-    fn fetch_series(&self, ordinal: usize) -> Result<TimeSeries, String> {
-        match self {
-            Self::Single(index) => index.fetch_series(ordinal).map_err(|e| e.to_string()),
-            Self::Sharded(sharded) => sharded.fetch_series(ordinal).map_err(|e| e.to_string()),
-        }
-        .map_err(|e| format!("fetching ordinal {ordinal}: {e}"))
-    }
-
-    fn reset_counters(&self) -> CliResult {
-        match self {
-            Self::Single(index) => index.reset_counters(),
-            Self::Sharded(sharded) => sharded.reset_counters(),
-        }
+fn reset_counters(index: &ShardedIndex) -> CliResult {
+    index
+        .reset_counters()
         .map_err(|e| format!("resetting counters: {e}"))
-    }
 }
 
 // `info`/`query`/`join`/`nn` are read-only, so skip the directory LOCK
-// and coexist with a live simserved on the same files. A `sharding.txt`
-// marks the sharded layout, as for `recover` and `simserved`.
-fn open_index(args: &Opts) -> Result<(Index, Vec<String>), String> {
+// and coexist with a live simserved on the same files. Either layout
+// opens; a single-index directory is a 1-shard index.
+fn open_index(args: &Opts) -> Result<(ShardedIndex, Vec<String>), String> {
     let dir = PathBuf::from(args.req("index")?);
-    let oops = |e: std::io::Error| format!("opening index {}: {e}", dir.display());
-    let index = if dir.join("sharding.txt").is_file() {
-        Index::Sharded(ShardedIndex::open_read_only(&dir, 256).map_err(oops)?)
-    } else {
-        Index::Single(SeqIndex::open_read_only(&dir, 256).map_err(oops)?)
-    };
+    let index = ShardedIndex::open_read_only(&dir, 256)
+        .map_err(|e| format!("opening index {}: {e}", dir.display()))?;
     let names = std::fs::read_to_string(dir.join("names.txt"))
         .map(|s| s.lines().map(String::from).collect())
         .unwrap_or_default();
     Ok((index, names))
 }
 
+/// Each shard's metrics on stderr, when there is more than one.
 fn print_per_shard(per_shard: &[EngineMetrics]) {
+    if per_shard.len() < 2 {
+        return;
+    }
     for (i, m) in per_shard.iter().enumerate() {
         eprintln!("  shard {i}: {m}");
     }
@@ -495,7 +410,7 @@ fn display_name(names: &[String], ordinal: usize) -> String {
         .unwrap_or_else(|| format!("#{ordinal}"))
 }
 
-fn query_series(args: &Opts, index: &Index) -> Result<TimeSeries, String> {
+fn query_series(args: &Opts, index: &ShardedIndex) -> Result<TimeSeries, String> {
     if let Some(ordinal) = args.parse_opt::<usize>("query-index")? {
         if ordinal >= index.len() {
             return Err(format!(
@@ -503,7 +418,9 @@ fn query_series(args: &Opts, index: &Index) -> Result<TimeSeries, String> {
                 index.len()
             ));
         }
-        return index.fetch_series(ordinal);
+        return index
+            .fetch_series(ordinal)
+            .map_err(|e| format!("fetching ordinal {ordinal}: {e}"));
     }
     let csv = Path::new(args.req("query-csv")?);
     let row: usize = args.req_parse("row")?;

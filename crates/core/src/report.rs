@@ -149,6 +149,9 @@ pub enum QueryError {
     /// A page access failed while executing the query. The query produced
     /// no partial result — engines abort cleanly on the first device error.
     Io(pagestore::PageError),
+    /// JOIN against an index split across several shards: its pairs would
+    /// cross shards, so the join engines run only on a 1-shard index.
+    ShardedJoin,
 }
 
 impl fmt::Display for QueryError {
@@ -165,6 +168,7 @@ impl fmt::Display for QueryError {
                 )
             }
             Self::Io(e) => write!(f, "page access failed: {e}"),
+            Self::ShardedJoin => write!(f, "JOIN is not supported on a sharded index"),
         }
     }
 }

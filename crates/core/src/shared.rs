@@ -10,7 +10,10 @@
 //! [`SharedIndex`] packages that discipline: a cheap cloneable
 //! `Arc<RwLock<SeqIndex>>` whose lock recovers from poisoning (see
 //! [`pagestore::sync`]), so a panicking query thread cannot wedge a
-//! server.
+//! server. It is the per-shard lock of the `simshard` crate's shard
+//! group, which owns everything above it: the write-ahead log, fencing
+//! and replication. This module keeps the [`DurableError`] type those
+//! paths report.
 //!
 //! # Write-guard starvation discipline
 //!
@@ -33,14 +36,13 @@
 //!    regression test asserts by querying shard B while shard A's write
 //!    guard is deliberately held.
 
-use crate::index::{DeviceWrap, SeqIndex};
+use crate::index::SeqIndex;
 use crate::plan::{self, LogicalQuery, PhysicalPlan, PlanOutput, QueryEpoch};
 use crate::report::QueryError;
 use crate::stats::StatsRegistry;
 use pagestore::sync::RwLock;
-use simwal::{FsyncPolicy, ReplayReport, Wal, WalError, WalOp, WalStats};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use simwal::WalError;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLockReadGuard, RwLockWriteGuard};
 use tseries::TimeSeries;
 
@@ -151,41 +153,15 @@ impl From<std::io::Error> for DurableError {
     }
 }
 
-/// The durability attachment of a [`SharedIndex`]: its WAL, the snapshot
-/// directory checkpoints go to, and the LSN allocator.
-struct Durability {
-    wal: Wal,
-    index_dir: PathBuf,
-    next_lsn: AtomicU64,
-    /// Set when a WAL append failed after its mutation applied: the log
-    /// has a hole the live state depends on, so no later mutation may be
-    /// acknowledged (replay would surface it without its predecessor).
-    poisoned: AtomicBool,
-}
-
 /// A cloneable, thread-safe handle to one [`SeqIndex`].
 #[derive(Clone)]
 pub struct SharedIndex {
     inner: Arc<RwLock<SeqIndex>>,
-    durable: Option<Arc<Durability>>,
     stats: Arc<StatsRegistry>,
-    /// Mutations acknowledged through the typed paths since this handle
-    /// (group) was created — the fine-grained half of [`QueryEpoch`].
-    /// Replicated frames bump it too, so a follower's [`QueryEpoch`]
-    /// (and therefore every plan-cache key) moves with every applied
-    /// frame, not just local mutations.
+    /// Mutations made through [`Self::insert_series`] /
+    /// [`Self::delete_series`] since this handle was created — the
+    /// fine-grained half of [`QueryEpoch`].
     mutations: Arc<AtomicU64>,
-    /// Highest primary LSN applied through [`Self::apply_replicated`].
-    /// Zero until the first frame lands (primary LSNs start at 1).
-    applied_lsn: Arc<AtomicU64>,
-    /// The primary's checkpoint epoch as of the last snapshot install /
-    /// handshake — the coarse half of a *follower's* [`QueryEpoch`] when
-    /// the handle has no WAL of its own.
-    repl_epoch: Arc<AtomicU64>,
-    /// Fencing token for handles without a WAL (`0` = unfenced); durable
-    /// handles persist theirs in the WAL manifest instead. See
-    /// [`Self::fence_at`].
-    mem_fence: Arc<AtomicU64>,
 }
 
 impl std::fmt::Debug for SharedIndex {
@@ -199,559 +175,31 @@ impl SharedIndex {
     pub fn new(index: SeqIndex) -> Self {
         Self {
             inner: Arc::new(RwLock::new(index)),
-            durable: None,
             stats: Arc::new(StatsRegistry::new()),
             mutations: Arc::new(AtomicU64::new(0)),
-            applied_lsn: Arc::new(AtomicU64::new(0)),
-            repl_epoch: Arc::new(AtomicU64::new(0)),
-            mem_fence: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// Opens a persisted index directory (see [`SeqIndex::open`]) for
-    /// shared use.
-    pub fn open(dir: &std::path::Path, heap_pool_pages: usize) -> std::io::Result<Self> {
-        Ok(Self::new(SeqIndex::open(dir, heap_pool_pages)?))
-    }
-
-    /// Opens a persisted index directory without taking its `LOCK` (see
-    /// [`SeqIndex::open_read_only`]), so a verification oracle can read
-    /// the same directory a live server is serving.
-    pub fn open_read_only(dir: &std::path::Path, heap_pool_pages: usize) -> std::io::Result<Self> {
-        Ok(Self::new(SeqIndex::open_read_only(dir, heap_pool_pages)?))
-    }
-
-    /// Opens a persisted index *with a write-ahead log*: loads the
-    /// snapshot in `index_dir`, opens (or creates) the WAL in `wal_dir`
-    /// reconciled against the snapshot's epoch, and replays the log tail
-    /// on top of the snapshot. After this returns, every mutation made
-    /// through [`Self::insert_series`]/[`Self::delete_series`] is logged
-    /// before it is acknowledged, and the recovered state is always an
-    /// exact prefix of the acknowledged mutation schedule.
-    pub fn open_durable(
-        index_dir: &Path,
-        wal_dir: &Path,
-        heap_pool_pages: usize,
-        policy: FsyncPolicy,
-    ) -> Result<(Self, ReplayReport), DurableError> {
-        Self::open_durable_impl(index_dir, wal_dir, heap_pool_pages, policy, None)
-    }
-
-    /// [`Self::open_durable`] with caller-wrapped page devices (see
-    /// [`SeqIndex::open_with`]), so WAL replay itself runs against an
-    /// armed [`pagestore::FaultyDisk`]. Replay faults surface as typed
-    /// [`DurableError::Query`] — never a panic, never a partial ack.
-    /// Checkpointing is unavailable on such an index, so gap-dropped
-    /// frames stay in the log for the next (unfaulted) open.
-    pub fn open_durable_with(
-        index_dir: &Path,
-        wal_dir: &Path,
-        heap_pool_pages: usize,
-        policy: FsyncPolicy,
-        wrap: DeviceWrap,
-    ) -> Result<(Self, ReplayReport), DurableError> {
-        Self::open_durable_impl(index_dir, wal_dir, heap_pool_pages, policy, Some(wrap))
-    }
-
-    fn open_durable_impl(
-        index_dir: &Path,
-        wal_dir: &Path,
-        heap_pool_pages: usize,
-        policy: FsyncPolicy,
-        wrap: Option<DeviceWrap>,
-    ) -> Result<(Self, ReplayReport), DurableError> {
-        let faulted = wrap.is_some();
-        let mut index = match wrap {
-            None => SeqIndex::open(index_dir, heap_pool_pages)?,
-            Some(wrap) => SeqIndex::open_with(index_dir, heap_pool_pages, wrap)?,
-        };
-        let (wal, ops, mut report) = Wal::open(wal_dir, policy, index.wal_epoch())?;
-        let mut max_lsn = 0u64;
-        let mut applied = 0usize;
-        for op in &ops {
-            match op {
-                WalOp::Insert { global, values, .. } => {
-                    let g = *global as usize;
-                    if g > index.len() {
-                        // A frame for an ordinal beyond the recovered
-                        // prefix (should be impossible for a single
-                        // index, whose log is written in ack order).
-                        break;
-                    }
-                    if g == index.len() {
-                        index.insert_series(&TimeSeries::new(values.clone()))?;
-                    }
-                    // g < len: the snapshot already absorbed this frame
-                    // (a crash interrupted the checkpoint after the
-                    // snapshot install); nothing to redo.
-                }
-                WalOp::Delete { global, .. } => {
-                    let g = *global as usize;
-                    if g >= index.len() {
-                        break;
-                    }
-                    index.delete_series(g)?; // Ok(false) if already gone
-                }
-            }
-            max_lsn = max_lsn.max(op.lsn());
-            applied += 1;
-        }
-        let dropped = applied < ops.len();
-        report.frames = applied;
-        let shared = Self {
-            inner: Arc::new(RwLock::new(index)),
-            durable: Some(Arc::new(Durability {
-                wal,
-                index_dir: index_dir.to_path_buf(),
-                next_lsn: AtomicU64::new(max_lsn + 1),
-                poisoned: AtomicBool::new(false),
-            })),
-            stats: Arc::new(StatsRegistry::new()),
-            mutations: Arc::new(AtomicU64::new(0)),
-            // On a durable follower the local log stores the primary's
-            // LSNs, so the replayed maximum is the applied position.
-            applied_lsn: Arc::new(AtomicU64::new(max_lsn)),
-            repl_epoch: Arc::new(AtomicU64::new(0)),
-            mem_fence: Arc::new(AtomicU64::new(0)),
-        };
-        if dropped && !faulted {
-            // Frames past the recovered prefix would otherwise replay on
-            // the next open; fold the prefix into a snapshot and reset.
-            shared.checkpoint()?;
-        }
-        Ok((shared, report))
-    }
-
-    /// Whether this handle logs mutations to a WAL.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
-    }
-
-    /// WAL counter snapshot, when durable.
-    pub fn wal_stats(&self) -> Option<WalStats> {
-        self.durable.as_ref().map(|d| d.wal.stats())
-    }
-
-    /// Current checkpoint epoch, when durable.
-    pub fn wal_epoch(&self) -> Option<u64> {
-        self.durable.as_ref().map(|d| d.wal.epoch())
-    }
-
-    /// The epoch of this node on the replication timeline: its own WAL
-    /// checkpoint epoch when durable, otherwise the primary epoch
-    /// learned over replication. Fencing comparisons happen in this
-    /// timeline.
-    pub fn timeline_epoch(&self) -> u64 {
-        self.wal_epoch().unwrap_or_else(|| self.replica_epoch())
-    }
-
-    /// The fencing token: the minimum epoch this node may accept writes
-    /// at (`0` = unfenced). Persisted in the WAL manifest when durable.
-    pub fn fence(&self) -> u64 {
-        match &self.durable {
-            Some(d) => d.wal.fence(),
-            None => self.mem_fence.load(Ordering::Acquire),
-        }
-    }
-
-    /// Whether the fencing token forbids writes at the current epoch — a
-    /// peer was promoted onto a newer timeline and this node has not yet
-    /// re-synced onto it. Queries still serve; mutations, checkpoints,
-    /// and promotion-independent epoch bumps are refused (see
-    /// [`DurableError::Fenced`]).
-    pub fn is_fenced(&self) -> bool {
-        self.fence() > self.timeline_epoch()
-    }
-
-    /// Raises the fencing token to at least `epoch` — the demotion half
-    /// of failover. Called when a higher-epoch peer reveals itself (a
-    /// `REPL` poll from a follower that already applied frames of a
-    /// newer timeline). Durable before it returns on a durable handle,
-    /// so a fenced ex-primary that crashes restarts fenced. Never
-    /// lowers an existing fence; [`Self::install_replica_snapshot`]
-    /// clears it once the node has re-synced.
-    pub fn fence_at(&self, epoch: u64) -> Result<(), DurableError> {
-        match &self.durable {
-            Some(d) => {
-                if epoch > d.wal.fence() {
-                    d.wal.set_fence(epoch)?;
-                }
-            }
-            None => {
-                self.mem_fence.fetch_max(epoch, Ordering::AcqRel);
-            }
-        }
-        Ok(())
-    }
-
-    /// Promotes this node to primary on a new timeline: under the write
-    /// guard, picks an epoch strictly past everything the node has seen
-    /// (its own checkpoint sequence, the old primary's epoch, and any
-    /// fence), checkpoints the current state under it, installs it in
-    /// the WAL, and persists the fencing token at the same epoch — so
-    /// the switch survives a crash and the node begins accepting writes
-    /// from exactly its acked prefix ([`Self::apply_replicated`] keeps
-    /// the LSN allocator strictly ahead of every shipped frame). Returns
-    /// the new timeline epoch.
-    pub fn promote(&self) -> Result<u64, DurableError> {
-        let guard = self.inner.write();
-        self.check_poisoned()?;
-        let new_epoch = self
-            .timeline_epoch()
-            .max(self.replica_epoch())
-            .max(self.fence())
-            + 1;
-        if let Some(d) = &self.durable {
-            d.wal.sync()?;
-            guard.save_with_epoch(&d.index_dir, new_epoch)?;
-            d.wal.install_epoch(new_epoch)?;
-            d.wal.set_fence(new_epoch)?;
-        } else {
-            self.mem_fence.store(new_epoch, Ordering::Release);
-        }
-        self.repl_epoch.store(new_epoch, Ordering::Release);
-        // Bump under the guard: cached results keyed on the follower-era
-        // epoch must not survive the timeline switch.
-        self.mutations.fetch_add(1, Ordering::Release);
-        drop(guard);
-        Ok(new_epoch)
-    }
-
-    /// Inserts a sequence through the logged-mutation path: the mutation
-    /// is applied under the write guard, then (still under the guard, so
-    /// log order is apply order) appended to the WAL — the op only
-    /// reaches the caller as acknowledged once it is in the log. Without
-    /// a WAL this is plain `write().insert_series`.
-    pub fn insert_series(&self, ts: &TimeSeries) -> Result<usize, DurableError> {
+    /// Inserts a sequence under the write guard, bumping the mutation
+    /// counter before the guard drops so no reader observes the new state
+    /// under the old [`QueryEpoch`]. Nothing is logged: durable mutation
+    /// goes through the shard group that owns this lock.
+    pub fn insert_series(&self, ts: &TimeSeries) -> Result<usize, QueryError> {
         let mut guard = self.inner.write();
-        self.check_poisoned()?;
-        self.check_fenced()?;
         let ordinal = guard.insert_series(ts)?;
-        if let Some(d) = &self.durable {
-            let lsn = d.next_lsn.fetch_add(1, Ordering::Relaxed);
-            let logged = d.wal.append(&WalOp::Insert {
-                lsn,
-                global: ordinal as u64,
-                local: ordinal as u64,
-                values: ts.values().to_vec(),
-            });
-            if let Err(e) = logged {
-                // The insert is applied in memory but absent from the
-                // log; a later logged mutation would replay on a state
-                // missing this one. Refuse all further mutations.
-                d.poisoned.store(true, Ordering::Release);
-                return Err(e.into());
-            }
-        }
-        // Bump while still under the write guard so no reader can observe
-        // the new state under the old epoch.
         self.mutations.fetch_add(1, Ordering::Release);
         Ok(ordinal)
     }
 
-    /// Tombstones a sequence through the logged-mutation path (see
-    /// [`Self::insert_series`]); no-op deletes are not logged.
-    pub fn delete_series(&self, ordinal: usize) -> Result<bool, DurableError> {
+    /// Tombstones a sequence under the write guard (see
+    /// [`Self::insert_series`]); a no-op delete leaves the epoch alone.
+    pub fn delete_series(&self, ordinal: usize) -> Result<bool, QueryError> {
         let mut guard = self.inner.write();
-        self.check_poisoned()?;
-        self.check_fenced()?;
         let deleted = guard.delete_series(ordinal)?;
-        if deleted {
-            if let Some(d) = &self.durable {
-                let lsn = d.next_lsn.fetch_add(1, Ordering::Relaxed);
-                let logged = d.wal.append(&WalOp::Delete {
-                    lsn,
-                    global: ordinal as u64,
-                    local: ordinal as u64,
-                });
-                if let Err(e) = logged {
-                    d.poisoned.store(true, Ordering::Release);
-                    return Err(e.into());
-                }
-            }
-        }
         if deleted {
             self.mutations.fetch_add(1, Ordering::Release);
         }
         Ok(deleted)
-    }
-
-    /// Applies one WAL frame shipped from a replication primary, under
-    /// the write guard and with exactly the recovery replay's idempotent
-    /// semantics: an insert lands only when its ordinal extends the
-    /// current prefix (a frame the snapshot already absorbed is skipped,
-    /// a frame *beyond* the prefix is a typed [`DurableError::Gap`]); a
-    /// delete of an already-tombstoned ordinal is a no-op. Returns
-    /// whether the frame changed state. Re-applying any shipped prefix
-    /// is therefore always safe — no gaps, no duplicates.
-    ///
-    /// On a durable handle every state-changing frame is also appended
-    /// to the *local* WAL carrying the primary's LSN, so a restarted
-    /// follower recovers its applied position (`max` replayed LSN) along
-    /// with its state; an append failure poisons the handle exactly like
-    /// a local mutation would. The mutation counter bumps under the
-    /// guard on every state change, so no cached plan result can outlive
-    /// an applied frame (see [`Self::query_epoch`]).
-    pub fn apply_replicated(&self, op: &WalOp) -> Result<bool, DurableError> {
-        let mut guard = self.inner.write();
-        self.check_poisoned()?;
-        let changed = match op {
-            WalOp::Insert {
-                lsn,
-                global,
-                values,
-                ..
-            } => {
-                let g = *global as usize;
-                if g > guard.len() {
-                    return Err(DurableError::Gap {
-                        lsn: *lsn,
-                        global: *global,
-                        len: guard.len(),
-                    });
-                }
-                if g == guard.len() {
-                    guard.insert_series(&TimeSeries::new(values.clone()))?;
-                    true
-                } else {
-                    false // the snapshot (or an earlier frame) already holds it
-                }
-            }
-            WalOp::Delete { global, .. } => {
-                let g = *global as usize;
-                g < guard.len() && guard.delete_series(g)?
-            }
-        };
-        if changed {
-            if let Some(d) = &self.durable {
-                if let Err(e) = d.wal.append(op) {
-                    d.poisoned.store(true, Ordering::Release);
-                    return Err(e.into());
-                }
-                // Keep the local allocator strictly ahead of the shipped
-                // LSNs, so a promoted follower could not reuse one.
-                let mut cur = d.next_lsn.load(Ordering::Relaxed);
-                while cur <= op.lsn() {
-                    match d.next_lsn.compare_exchange(
-                        cur,
-                        op.lsn() + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => break,
-                        Err(now) => cur = now,
-                    }
-                }
-            }
-            self.mutations.fetch_add(1, Ordering::Release);
-        }
-        // Still under the guard: a reader that observes this applied
-        // position is guaranteed to see the state that includes it.
-        let mut cur = self.applied_lsn.load(Ordering::Relaxed);
-        while cur < op.lsn() {
-            match self.applied_lsn.compare_exchange(
-                cur,
-                op.lsn(),
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => cur = now,
-            }
-        }
-        drop(guard);
-        Ok(changed)
-    }
-
-    /// Replaces the whole index with a snapshot transferred from a
-    /// replication primary (the epoch-mismatch fallback of the `REPL`
-    /// handshake). `primary_epoch` is the primary's checkpoint epoch the
-    /// snapshot corresponds to and `next_lsn` the first LSN the stream
-    /// will resume from; the replica's applied position becomes
-    /// `next_lsn - 1`. On a durable handle the snapshot is checkpointed
-    /// into the local index directory under the *local* next epoch (the
-    /// local epoch sequence is independent of the primary's), so a
-    /// restart recovers it without re-transferring.
-    pub fn install_replica_snapshot(
-        &self,
-        index: SeqIndex,
-        primary_epoch: u64,
-        next_lsn: u64,
-    ) -> Result<(), DurableError> {
-        let mut guard = self.inner.write();
-        self.check_poisoned()?;
-        // Refuse a snapshot from a timeline older than the one this node
-        // already follows: a poll that was in flight when the node was
-        // promoted must not roll the new timeline back (and clear its
-        // fence) by installing the deposed primary's state.
-        let current = self.repl_epoch.load(Ordering::Acquire);
-        if primary_epoch < current {
-            return Err(DurableError::Fenced {
-                fence: current,
-                epoch: primary_epoch,
-            });
-        }
-        *guard = index;
-        if let Some(d) = &self.durable {
-            d.wal.sync()?;
-            let new_epoch = d.wal.epoch() + 1;
-            guard.save_with_epoch(&d.index_dir, new_epoch)?;
-            d.wal.install_epoch(new_epoch)?;
-            d.next_lsn.store(next_lsn, Ordering::Relaxed);
-            // The node now holds the new timeline's state byte-for-byte;
-            // a demotion fence (if any) has served its purpose. Clearing
-            // it last means a crash anywhere above restarts fenced —
-            // never writable with half-installed state.
-            d.wal.set_fence(0)?;
-        }
-        self.mem_fence.store(0, Ordering::Release);
-        self.repl_epoch.store(primary_epoch, Ordering::Release);
-        self.applied_lsn
-            .store(next_lsn.saturating_sub(1), Ordering::Release);
-        // Bump under the guard: the whole state changed, so every cached
-        // result keyed on the old epoch must become unreachable.
-        self.mutations.fetch_add(1, Ordering::Release);
-        drop(guard);
-        Ok(())
-    }
-
-    /// Records the primary's checkpoint epoch learned at handshake time
-    /// (the frame-streaming path, where no snapshot transfer happens).
-    pub fn note_replica_epoch(&self, primary_epoch: u64) {
-        self.repl_epoch.store(primary_epoch, Ordering::Release);
-    }
-
-    /// Restores a follower's replication position after a restart:
-    /// adopts `primary_epoch` and raises the applied position to at
-    /// least `applied` (never lowers it). A durable follower's local
-    /// log replays only frames appended since its last snapshot
-    /// install, so the install-time floor is re-asserted from the
-    /// persisted replica state.
-    pub fn note_replica_position(&self, primary_epoch: u64, applied: u64) {
-        self.repl_epoch.store(primary_epoch, Ordering::Release);
-        self.applied_lsn.fetch_max(applied, Ordering::AcqRel);
-    }
-
-    /// Highest primary LSN applied through [`Self::apply_replicated`]
-    /// (0 before any frame lands). On a restarted durable follower this
-    /// is recovered from the local log's replayed maximum.
-    pub fn applied_lsn(&self) -> u64 {
-        self.applied_lsn.load(Ordering::Acquire)
-    }
-
-    /// The primary checkpoint epoch this replica last synchronised with
-    /// (0 until a snapshot install or `note_replica_*` call records one).
-    pub fn replica_epoch(&self) -> u64 {
-        self.repl_epoch.load(Ordering::Acquire)
-    }
-
-    /// The next LSN this index would allocate, when durable — the
-    /// exclusive upper bound of the log's coverage, which the `REPL`
-    /// handshake checks a follower's resume position against.
-    pub fn wal_next_lsn(&self) -> Option<u64> {
-        self.durable
-            .as_ref()
-            .map(|d| d.next_lsn.load(Ordering::Relaxed))
-    }
-
-    /// Bytes of this index's WAL covered by the last fsync — the prefix
-    /// a crash is guaranteed to keep, and the bound the replication
-    /// feeder serves under. Crash-point tests truncate the log file to
-    /// this length to simulate losing the page-cache tail.
-    pub fn wal_durable_bytes(&self) -> Option<u64> {
-        self.durable.as_ref().map(|d| d.wal.durable_len())
-    }
-
-    /// Reads up to `max` frames with `lsn >= from_lsn` from the durable
-    /// prefix of this index's own WAL (see [`Wal::frames_since`]) — the
-    /// catch-up half of the replication feeder; frames are fsynced
-    /// before they are served, so a shipped frame always survives a
-    /// crash. `max == 0` means no cap.
-    pub fn wal_frames_since(&self, from_lsn: u64, max: usize) -> Result<Vec<WalOp>, DurableError> {
-        self.wal_frames_since_hinted(from_lsn, max, None)
-            .map(|(frames, _)| frames)
-    }
-
-    /// [`Self::wal_frames_since`] with a `(lsn, byte offset)` resume
-    /// cursor (see [`Wal::frames_since_hinted`]): a valid cursor makes
-    /// tailing O(frames served); a stale one degrades to a full scan.
-    pub fn wal_frames_since_hinted(
-        &self,
-        from_lsn: u64,
-        max: usize,
-        hint: Option<(u64, u64)>,
-    ) -> Result<(Vec<WalOp>, (u64, u64)), DurableError> {
-        match &self.durable {
-            Some(d) => Ok(d.wal.frames_since_hinted(from_lsn, max, hint)?),
-            None => Err(DurableError::Io(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "index has no write-ahead log to stream from",
-            ))),
-        }
-    }
-
-    /// Whether an earlier WAL append failure poisoned this handle (see
-    /// [`DurableError::Poisoned`]). Queries still serve; mutations and
-    /// checkpoints are rejected until the index is reopened.
-    pub fn is_poisoned(&self) -> bool {
-        self.durable
-            .as_ref()
-            .is_some_and(|d| d.poisoned.load(Ordering::Acquire))
-    }
-
-    fn check_poisoned(&self) -> Result<(), DurableError> {
-        if self.is_poisoned() {
-            return Err(DurableError::Poisoned);
-        }
-        Ok(())
-    }
-
-    fn check_fenced(&self) -> Result<(), DurableError> {
-        let fence = self.fence();
-        let epoch = self.timeline_epoch();
-        if fence > epoch {
-            return Err(DurableError::Fenced { fence, epoch });
-        }
-        Ok(())
-    }
-
-    /// Forces every appended frame to stable storage (the `SYNC` op).
-    /// `Ok(false)` when the handle has no WAL.
-    pub fn sync_wal(&self) -> Result<bool, DurableError> {
-        match &self.durable {
-            Some(d) => {
-                d.wal.sync()?;
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// Checkpoints a durable index: under the exclusive write guard,
-    /// syncs the log, writes an atomic snapshot stamped with the next
-    /// epoch, then installs that epoch in the WAL (manifest bump + log
-    /// reset). Returns the new epoch, or `None` for a non-durable
-    /// handle. A crash at any point leaves a recoverable state — see the
-    /// crash matrix in DESIGN.md §5.
-    pub fn checkpoint(&self) -> Result<Option<u64>, DurableError> {
-        let Some(d) = &self.durable else {
-            return Ok(None);
-        };
-        let guard = self.inner.write();
-        // A poisoned handle holds an applied-but-unlogged mutation that
-        // was never acknowledged; folding it into a snapshot would make
-        // the recovered state more than the acknowledged prefix. A
-        // fenced one must not checkpoint either: each checkpoint bumps
-        // the epoch, and enough of them would walk it up to the fence
-        // and silently unfence a node that never re-synced.
-        self.check_poisoned()?;
-        self.check_fenced()?;
-        d.wal.sync()?;
-        let new_epoch = d.wal.epoch() + 1;
-        guard.save_with_epoch(&d.index_dir, new_epoch)?;
-        d.wal.install_epoch(new_epoch)?;
-        drop(guard);
-        Ok(Some(new_epoch))
     }
 
     /// The runtime-statistics registry the planner reads and the plan
@@ -760,25 +208,18 @@ impl SharedIndex {
         &self.stats
     }
 
-    /// The cache epoch of the current state: WAL checkpoint epoch plus
-    /// the typed-path mutation counter. Results cached under an equal
-    /// epoch are exact for the current state; any acknowledged mutation
-    /// makes older epochs unequal. On a non-durable *follower* the
-    /// coarse half is the primary's epoch learned over replication, and
-    /// [`Self::apply_replicated`] bumps the counter — so a cached result
-    /// can never outlive an applied frame, local or shipped.
+    /// The cache epoch of the current state: results cached under an
+    /// equal epoch are exact for it, and every mutation made through this
+    /// handle moves it.
     pub fn query_epoch(&self) -> QueryEpoch {
         QueryEpoch {
-            epoch: self
-                .wal_epoch()
-                .unwrap_or_else(|| self.repl_epoch.load(Ordering::Acquire)),
+            epoch: 0,
             mutations: self.mutations.load(Ordering::Acquire),
         }
     }
 
-    /// Plans and executes a logical query against this index — the one
-    /// query entry point every consumer (server, CLI, shard executor)
-    /// routes through. Takes the shared read guard for the duration.
+    /// Plans and executes a logical query against this index under the
+    /// shared read guard.
     pub fn execute(
         &self,
         lq: &LogicalQuery,
@@ -788,28 +229,14 @@ impl SharedIndex {
         plan::run(&guard, &self.stats, lq, query)
     }
 
-    /// [`Self::execute`], but also reporting the plan/execute wall-clock
-    /// split — what the server's slow-query log records.
-    pub fn execute_timed(
-        &self,
-        lq: &LogicalQuery,
-        query: Option<&TimeSeries>,
-    ) -> Result<(PhysicalPlan, PlanOutput, plan::StageTimings), QueryError> {
-        let guard = self.inner.read();
-        plan::run_timed(&guard, &self.stats, lq, query)
-    }
-
     /// Acquires a shared read guard: queries, scans, counter reads.
     /// Any number of readers proceed concurrently.
     pub fn read(&self) -> RwLockReadGuard<'_, SeqIndex> {
         self.inner.read()
     }
 
-    /// Acquires the exclusive write guard: inserts and deletes.
-    ///
-    /// Mutating *directly* through this guard bypasses the WAL; durable
-    /// handles must mutate via [`Self::insert_series`] /
-    /// [`Self::delete_series`] instead.
+    /// Acquires the exclusive write guard: inserts and deletes. Mutating
+    /// through it bypasses the mutation counter and any log.
     pub fn write(&self) -> RwLockWriteGuard<'_, SeqIndex> {
         self.inner.write()
     }
@@ -858,65 +285,6 @@ mod tests {
     }
 
     #[test]
-    fn wal_append_failure_poisons_the_handle() {
-        let root = std::env::temp_dir()
-            .join("simquery-shared-tests")
-            .join(format!("poison-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let c = Corpus::generate(CorpusKind::SyntheticWalks, 10, 64, 7);
-        SeqIndex::build(&c, IndexConfig::default())
-            .unwrap()
-            .save(&root.join("idx"))
-            .unwrap();
-        let extra = Corpus::generate(CorpusKind::SyntheticWalks, 3, 64, 8);
-        let (shared, _) = SharedIndex::open_durable(
-            &root.join("idx"),
-            &root.join("wal"),
-            16,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
-        shared.insert_series(&extra.series()[0]).unwrap();
-        shared.durable.as_ref().unwrap().wal.arm_append_fault();
-        let err = shared.insert_series(&extra.series()[1]).unwrap_err();
-        assert!(matches!(err, DurableError::Wal(_)), "{err}");
-        assert!(shared.is_poisoned());
-        assert_eq!(
-            shared.read().len(),
-            12,
-            "the failed insert stays applied in memory"
-        );
-        // Applied-but-unlogged: acknowledging anything after it would be
-        // unrecoverable, so mutations and checkpoints are refused …
-        assert!(matches!(
-            shared.insert_series(&extra.series()[2]).unwrap_err(),
-            DurableError::Poisoned
-        ));
-        assert!(matches!(
-            shared.delete_series(0).unwrap_err(),
-            DurableError::Poisoned
-        ));
-        assert!(matches!(
-            shared.checkpoint().unwrap_err(),
-            DurableError::Poisoned
-        ));
-        drop(shared);
-        // … and a reopen recovers exactly the acknowledged prefix.
-        let (shared, rep) = SharedIndex::open_durable(
-            &root.join("idx"),
-            &root.join("wal"),
-            16,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
-        assert_eq!(rep.frames, 1, "only the acknowledged insert replays");
-        assert_eq!(shared.read().len(), 11);
-        shared.insert_series(&extra.series()[2]).unwrap();
-        drop(shared);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
     fn writer_excludes_readers_but_not_correctness() {
         let (c, shared) = shared(60);
         let extra = Corpus::generate(CorpusKind::SyntheticWalks, 8, 64, 99);
@@ -946,264 +314,5 @@ mod tests {
             }
         });
         assert_eq!(shared.read().len(), 68);
-    }
-
-    #[test]
-    fn apply_replicated_is_idempotent_and_gap_safe() {
-        let (_, shared) = shared(4);
-        let extra = Corpus::generate(CorpusKind::SyntheticWalks, 2, 64, 41);
-        let ins = |lsn: u64, g: u64, ts: &TimeSeries| WalOp::Insert {
-            lsn,
-            global: g,
-            local: g,
-            values: ts.values().to_vec(),
-        };
-        let e0 = shared.query_epoch();
-        assert!(shared
-            .apply_replicated(&ins(1, 4, &extra.series()[0]))
-            .unwrap());
-        assert_eq!(shared.read().len(), 5);
-        assert_eq!(shared.applied_lsn(), 1);
-        assert_ne!(
-            shared.query_epoch(),
-            e0,
-            "applied frame must move the epoch"
-        );
-        // Re-applying the same frame: no duplicate, position keeps.
-        assert!(!shared
-            .apply_replicated(&ins(1, 4, &extra.series()[0]))
-            .unwrap());
-        assert_eq!(shared.read().len(), 5);
-        // A frame beyond the prefix is a typed gap, not an apply.
-        let err = shared
-            .apply_replicated(&ins(3, 6, &extra.series()[1]))
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                DurableError::Gap {
-                    lsn: 3,
-                    global: 6,
-                    len: 5
-                }
-            ),
-            "{err}"
-        );
-        assert_eq!(shared.read().len(), 5);
-        // Deletes: applied once, then a no-op — never an error.
-        let del = WalOp::Delete {
-            lsn: 2,
-            global: 4,
-            local: 4,
-        };
-        assert!(shared.apply_replicated(&del).unwrap());
-        assert!(!shared.apply_replicated(&del).unwrap());
-        assert_eq!(shared.applied_lsn(), 2);
-        // A no-change frame still advances the applied position.
-        assert!(!shared
-            .apply_replicated(&WalOp::Delete {
-                lsn: 7,
-                global: 4,
-                local: 4
-            })
-            .unwrap());
-        assert_eq!(shared.applied_lsn(), 7);
-    }
-
-    #[test]
-    fn durable_follower_recovers_applied_position() {
-        let root = std::env::temp_dir()
-            .join("simquery-shared-tests")
-            .join(format!("repl-durable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let c = Corpus::generate(CorpusKind::SyntheticWalks, 3, 64, 5);
-        SeqIndex::build(&c, IndexConfig::default())
-            .unwrap()
-            .save(&root.join("idx"))
-            .unwrap();
-        let extra = Corpus::generate(CorpusKind::SyntheticWalks, 2, 64, 6);
-        let (follower, _) = SharedIndex::open_durable(
-            &root.join("idx"),
-            &root.join("wal"),
-            16,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
-        // Ship two frames with the primary's (sparse) LSNs.
-        for (i, ts) in extra.series().iter().enumerate() {
-            follower
-                .apply_replicated(&WalOp::Insert {
-                    lsn: 10 + i as u64 * 10,
-                    global: 3 + i as u64,
-                    local: 3 + i as u64,
-                    values: ts.values().to_vec(),
-                })
-                .unwrap();
-        }
-        assert_eq!(follower.applied_lsn(), 20);
-        assert!(follower.wal_next_lsn().unwrap() > 20);
-        drop(follower);
-        // Restart: state and applied position both come back.
-        let (follower, rep) = SharedIndex::open_durable(
-            &root.join("idx"),
-            &root.join("wal"),
-            16,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
-        assert_eq!(rep.frames, 2);
-        assert_eq!(follower.read().len(), 5);
-        assert_eq!(follower.applied_lsn(), 20);
-        drop(follower);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn fence_blocks_writes_and_snapshot_install_clears_it() {
-        let (_, shared) = shared(4);
-        let extra = Corpus::generate(CorpusKind::SyntheticWalks, 2, 64, 42);
-        assert!(!shared.is_fenced());
-        // A promoted peer at epoch 5 fences this node.
-        shared.fence_at(5).unwrap();
-        assert!(shared.is_fenced());
-        assert_eq!(shared.fence(), 5);
-        let err = shared.insert_series(&extra.series()[0]).unwrap_err();
-        assert!(
-            matches!(err, DurableError::Fenced { fence: 5, epoch: 0 }),
-            "{err}"
-        );
-        assert!(matches!(
-            shared.delete_series(0).unwrap_err(),
-            DurableError::Fenced { .. }
-        ));
-        // Fences only ratchet upward …
-        shared.fence_at(3).unwrap();
-        assert_eq!(shared.fence(), 5);
-        // … and queries still serve while fenced.
-        assert_eq!(shared.read().len(), 4);
-        // Re-syncing onto the new timeline clears the fence.
-        let c2 = Corpus::generate(CorpusKind::SyntheticWalks, 6, 64, 43);
-        let snap = SeqIndex::build(&c2, IndexConfig::default()).unwrap();
-        shared.install_replica_snapshot(snap, 5, 11).unwrap();
-        assert!(!shared.is_fenced());
-        assert_eq!(shared.fence(), 0);
-        shared.write().insert_series(&extra.series()[1]).unwrap();
-    }
-
-    #[test]
-    fn promotion_moves_past_the_old_timeline_and_survives_restart() {
-        let root = std::env::temp_dir()
-            .join("simquery-shared-tests")
-            .join(format!("promote-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let c = Corpus::generate(CorpusKind::SyntheticWalks, 3, 64, 5);
-        SeqIndex::build(&c, IndexConfig::default())
-            .unwrap()
-            .save(&root.join("idx"))
-            .unwrap();
-        let extra = Corpus::generate(CorpusKind::SyntheticWalks, 2, 64, 6);
-        let (follower, _) = SharedIndex::open_durable(
-            &root.join("idx"),
-            &root.join("wal"),
-            16,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
-        // Catch up as a follower of a primary at epoch 7, then promote.
-        follower
-            .apply_replicated(&WalOp::Insert {
-                lsn: 9,
-                global: 3,
-                local: 3,
-                values: extra.series()[0].values().to_vec(),
-            })
-            .unwrap();
-        follower.note_replica_epoch(7);
-        let new_epoch = follower.promote().unwrap();
-        assert!(new_epoch > 7, "promotion must outrun the old timeline");
-        assert_eq!(follower.wal_epoch(), Some(new_epoch));
-        assert_eq!(follower.fence(), new_epoch);
-        assert!(!follower.is_fenced(), "a promoted node is writable");
-        // Writes resume from the acked prefix with fresh LSNs.
-        let ord = follower.insert_series(&extra.series()[1]).unwrap();
-        assert_eq!(ord, 4);
-        assert!(follower.wal_next_lsn().unwrap() > 9);
-        drop(follower);
-        // The switch is durable: a restart comes back on the new
-        // timeline with the full prefix.
-        let (reopened, _) = SharedIndex::open_durable(
-            &root.join("idx"),
-            &root.join("wal"),
-            16,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
-        assert_eq!(reopened.wal_epoch(), Some(new_epoch));
-        assert_eq!(reopened.read().len(), 5);
-        assert!(!reopened.is_fenced());
-        drop(reopened);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn fenced_durable_node_stays_fenced_across_restart() {
-        let root = std::env::temp_dir()
-            .join("simquery-shared-tests")
-            .join(format!("fence-durable-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let c = Corpus::generate(CorpusKind::SyntheticWalks, 3, 64, 5);
-        SeqIndex::build(&c, IndexConfig::default())
-            .unwrap()
-            .save(&root.join("idx"))
-            .unwrap();
-        let extra = Corpus::generate(CorpusKind::SyntheticWalks, 1, 64, 6);
-        let (primary, _) = SharedIndex::open_durable(
-            &root.join("idx"),
-            &root.join("wal"),
-            16,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
-        let epoch = primary.wal_epoch().unwrap();
-        primary.fence_at(epoch + 3).unwrap();
-        assert!(primary.is_fenced());
-        assert!(matches!(
-            primary.insert_series(&extra.series()[0]).unwrap_err(),
-            DurableError::Fenced { .. }
-        ));
-        // Checkpoints are refused too — they would walk the epoch up to
-        // the fence and silently unfence a node that never re-synced.
-        assert!(matches!(
-            primary.checkpoint().unwrap_err(),
-            DurableError::Fenced { .. }
-        ));
-        drop(primary);
-        let (reopened, _) = SharedIndex::open_durable(
-            &root.join("idx"),
-            &root.join("wal"),
-            16,
-            FsyncPolicy::Always,
-        )
-        .unwrap();
-        assert!(reopened.is_fenced(), "the fence survives a restart");
-        drop(reopened);
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn snapshot_install_replaces_state_and_epoch() {
-        let (_, follower) = shared(3);
-        let c2 = Corpus::generate(CorpusKind::SyntheticWalks, 6, 64, 9);
-        let snap = SeqIndex::build(&c2, IndexConfig::default()).unwrap();
-        let before = follower.query_epoch();
-        follower.install_replica_snapshot(snap, 4, 31).unwrap();
-        assert_eq!(follower.read().len(), 6);
-        assert_eq!(follower.applied_lsn(), 30);
-        let after = follower.query_epoch();
-        assert_ne!(before, after);
-        assert_eq!(
-            after.epoch, 4,
-            "non-durable follower adopts the primary epoch"
-        );
     }
 }

@@ -12,13 +12,13 @@
 use crate::metrics::Registry;
 use crate::protocol::Response;
 use crate::repl::ReplState;
-use crate::server::Backend;
 use simobs::Exposition;
 use simquery::prelude::*;
+use simshard::ShardedIndex;
 
 /// Renders the full exposition for one `METRICS` request.
 pub(crate) fn render(
-    backend: &Backend,
+    index: &ShardedIndex,
     metrics: &Registry,
     cache: &PlanCache,
     repl: &ReplState,
@@ -26,38 +26,26 @@ pub(crate) fn render(
     let mut exp = Exposition::new();
     metrics.render_into(&mut exp);
 
-    // Index access counters — totals, plus a per-shard breakdown on a
-    // sharded backend (the totals then equal the sum of the shard lines,
-    // same invariant as the STATS COUNTERS/SHARD split).
-    let totals = match backend {
-        Backend::Single(shared) => shared.read().counters(),
-        Backend::Sharded(sharded) => {
-            let per = sharded.per_shard_counters();
-            for (id, c) in per.iter().enumerate() {
-                let id = id.to_string();
-                let labels = [("shard", id.as_str())];
-                exp.counter("simseq_index_node_reads_total", &labels, c.node_reads);
-                exp.counter(
-                    "simseq_index_record_page_reads_total",
-                    &labels,
-                    c.record_page_reads,
-                );
-                exp.counter(
-                    "simseq_index_record_fetches_total",
-                    &labels,
-                    c.record_fetches,
-                );
-            }
-            per.iter()
-                .fold(simquery::index::AccessCounters::default(), |acc, c| {
-                    simquery::index::AccessCounters {
-                        node_reads: acc.node_reads + c.node_reads,
-                        record_page_reads: acc.record_page_reads + c.record_page_reads,
-                        record_fetches: acc.record_fetches + c.record_fetches,
-                    }
-                })
-        }
-    };
+    // Index access counters — a per-shard breakdown plus totals that
+    // equal the sum of the shard lines (the STATS COUNTERS/SHARD
+    // invariant).
+    let per = index.per_shard_counters();
+    for (id, c) in per.iter().enumerate() {
+        let id = id.to_string();
+        let labels = [("shard", id.as_str())];
+        exp.counter("simseq_index_node_reads_total", &labels, c.node_reads);
+        exp.counter(
+            "simseq_index_record_page_reads_total",
+            &labels,
+            c.record_page_reads,
+        );
+        exp.counter(
+            "simseq_index_record_fetches_total",
+            &labels,
+            c.record_fetches,
+        );
+    }
+    let totals = simshard::index::sum_counters(&per);
     exp.counter("simseq_index_node_reads_total", &[], totals.node_reads);
     exp.counter(
         "simseq_index_record_page_reads_total",
@@ -71,22 +59,19 @@ pub(crate) fn render(
     );
 
     // WAL activity (absent without --wal, like the STATS WAL line).
-    let wal = match backend {
-        Backend::Single(shared) => shared.wal_stats().map(|s| (s, shared.wal_epoch())),
-        Backend::Sharded(sharded) => sharded.wal_stats().map(|s| (s, Some(sharded.epoch()))),
-    };
-    if let Some((s, epoch)) = wal {
+    if let Some(s) = index.wal_stats() {
         exp.counter("simseq_wal_appends_total", &[], s.appends);
         exp.counter("simseq_wal_fsyncs_total", &[], s.fsyncs);
         exp.counter("simseq_wal_replayed_total", &[], s.replayed);
-        exp.gauge("simseq_wal_epoch", &[], epoch.unwrap_or(0) as f64);
+        exp.gauge(
+            "simseq_wal_epoch",
+            &[],
+            index.wal_epoch().unwrap_or(0) as f64,
+        );
     }
 
     // Planner dispatch and result-cache admission counters.
-    let stats = match backend {
-        Backend::Single(shared) => shared.stats(),
-        Backend::Sharded(sharded) => sharded.stats(),
-    };
+    let stats = index.stats();
     let snap = stats.snapshot();
     exp.counter("simseq_plans_built_total", &[], snap.plans_built);
     for (engine, n) in [
@@ -128,17 +113,15 @@ pub(crate) fn render(
         if repl.is_follower() { 0.0 } else { 1.0 },
     );
     exp.counter("simseq_promotions_total", &[], repl.promotions());
-    if let Backend::Single(shared) = backend {
-        exp.gauge("simseq_fence_epoch", &[], shared.fence() as f64);
-        exp.gauge(
-            "simseq_fenced",
-            &[],
-            if shared.is_fenced() { 1.0 } else { 0.0 },
-        );
-    }
+    exp.gauge("simseq_fence_epoch", &[], index.fence() as f64);
+    exp.gauge(
+        "simseq_fenced",
+        &[],
+        if index.is_fenced() { 1.0 } else { 0.0 },
+    );
 
     // Replication position (primary fleet view or follower position).
-    if let Some(r) = repl.stat_line(backend) {
+    if let Some(r) = repl.stat_line(index) {
         let labels = [("role", r.role.as_str())];
         exp.gauge("simseq_repl_followers", &labels, r.followers as f64);
         exp.gauge("simseq_repl_acked_lsn", &labels, r.acked_lsn as f64);

@@ -31,10 +31,11 @@
 //!   `simseq load`) run: flags in, index/WAL/shards/follower opened,
 //!   server or load run started.
 //!
-//! The index is shared across workers through
-//! [`simquery::shared::SharedIndex`]: queries run under a read guard (the
-//! engines' access counters are atomics, so concurrent queries stay
-//! consistent), `INSERT`/`DELETE` take the write guard.
+//! The index is shared across workers as one [`simshard::ShardedIndex`]
+//! (a single index is its 1-shard case): queries run under the shards'
+//! read guards (the engines' access counters are atomics, so concurrent
+//! queries stay consistent), `INSERT`/`DELETE` write-lock the one shard
+//! they touch.
 
 pub mod chaos;
 pub mod client;

@@ -550,7 +550,7 @@ pub struct StatsReport {
     pub counters_total: (u64, u64, u64),
     /// Same counters, delta since the previous `STATS` call.
     pub counters_delta: (u64, u64, u64),
-    /// Per-shard breakdown; empty on a single-index backend.
+    /// Per-shard breakdown (one line on a single index).
     pub shards: Vec<ShardStatLine>,
     /// WAL counters; `None` when the server runs without durability.
     pub wal: Option<WalStatLine>,

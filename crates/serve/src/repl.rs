@@ -7,19 +7,24 @@
 //! checkpoint — never a rearrangement, never a partial frame. The
 //! protocol is pull-based: the follower sends `REPL epoch=E from=L
 //! ack=A` and the primary answers with one of two payloads, decided by a
-//! single handshake rule evaluated under the index read guard (so no
-//! mutation or checkpoint can interleave):
+//! single handshake rule evaluated on one `(epoch, next)` cut taken under
+//! the index's insert gate (so no mutation or checkpoint can interleave):
 //!
 //! * **frames** — when `E` equals the primary's current checkpoint epoch
 //!   and `L` does not run past its next LSN, the epoch's log covers the
 //!   follower's position exactly; the primary serves `lsn >= L` frames
-//!   from its live log ([`simquery::shared::SharedIndex::wal_frames_since`]).
+//!   from its live log ([`ShardedIndex::frames_since`]).
 //! * **snapshot** — otherwise (a checkpoint reset the log, the follower
 //!   is behind a restarted primary's recovered log, or the follower is
 //!   brand new, which it signals with the reserved `from=0`): the primary
-//!   transfers its full state per ordinal, tombstones included, so the
-//!   follower reproduces the exact ordinal assignment, then resumes
-//!   streaming at the returned `next` LSN.
+//!   transfers its full state per global ordinal, tombstones included, so
+//!   the follower reproduces the exact ordinal assignment — partitioned
+//!   across its *own* shard count — then resumes streaming at the
+//!   returned `next` LSN.
+//!
+//! A node has one log whatever its shard count, so the feed ships one
+//! global LSN stream and replication, fencing and `PROMOTE` work the same
+//! on a 1-shard and an N-shard node.
 //!
 //! Nothing leaves the primary before it is durable: the catch-up reader
 //! fsyncs the log's written tail before serving it (see
@@ -32,7 +37,7 @@
 //! identical timeline, never a divergent one.
 //!
 //! Frames apply on the follower through
-//! [`simquery::shared::SharedIndex::apply_replicated`] — the same
+//! [`ShardedIndex::apply_replicated`] — the same
 //! idempotent semantics as crash-recovery replay, so re-shipping any
 //! prefix after a crash on either side converges without gaps or
 //! duplicates. Acked LSNs ride on every poll; the primary keeps a
@@ -41,9 +46,9 @@
 
 use crate::client::Client;
 use crate::protocol::{ErrCode, ReplStatLine, Request, Response, SnapEntry};
-use crate::server::Backend;
 use simquery::prelude::*;
 use simquery::shared::DurableError;
+use simshard::{ShardConfig, ShardedIndex, SnapshotCut};
 use simwal::encode_frame;
 use std::collections::{BTreeMap, HashSet};
 use std::io;
@@ -299,17 +304,14 @@ impl ReplState {
 
     /// The `STATS` `REPL` line for this server, or `None` when it
     /// neither follows a primary nor has followers attached.
-    pub fn stat_line(&self, backend: &Backend) -> Option<ReplStatLine> {
+    pub fn stat_line(&self, index: &ShardedIndex) -> Option<ReplStatLine> {
         let follower = self
             .follower
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone();
         if let Some(f) = follower {
-            let applied = match backend {
-                Backend::Single(shared) => shared.applied_lsn(),
-                Backend::Sharded(_) => 0,
-            };
+            let applied = index.applied_lsn();
             let end = f.end.load(Ordering::Relaxed);
             return Some(ReplStatLine {
                 role: "follower".into(),
@@ -330,13 +332,10 @@ impl ReplState {
             peers.values().map(|p| p.acked).min().unwrap_or(0),
         );
         drop(peers);
-        let (next, epoch) = match backend {
-            Backend::Single(shared) => (
-                shared.wal_next_lsn().unwrap_or(1),
-                shared.wal_epoch().unwrap_or(0),
-            ),
-            Backend::Sharded(_) => (1, 0),
-        };
+        let (next, epoch) = (
+            index.wal_next_lsn().unwrap_or(1),
+            index.wal_epoch().unwrap_or(0),
+        );
         Some(ReplStatLine {
             role: "primary".into(),
             followers,
@@ -367,7 +366,7 @@ pub struct ReplPoll {
 /// Serves one `REPL` request on the primary. Runs inline on the
 /// connection thread (like `QUIT`): a long-poll parked in the bounded
 /// worker pool would starve query traffic.
-pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPoll) -> Response {
+pub fn serve_repl(index: &ShardedIndex, repl: &ReplState, peer: &str, poll: ReplPoll) -> Response {
     let _span = simobs::trace::span("repl.feed");
     let ReplPoll {
         epoch,
@@ -376,13 +375,7 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
         max,
         wait_ms,
     } = poll;
-    let Backend::Single(shared) = backend else {
-        return Response::Err {
-            code: ErrCode::Query,
-            msg: "replication requires a single-index primary (shards ship separately)".into(),
-        };
-    };
-    if !shared.is_durable() {
+    if !index.is_durable() {
         return Response::Err {
             code: ErrCode::Query,
             msg: "replication requires a durable primary (start simserved with --wal DIR)".into(),
@@ -391,96 +384,73 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
     repl.record_ack(peer, ack, 0);
     let max = if max == 0 { DEFAULT_BATCH } else { max };
     let deadline = Instant::now() + Duration::from_millis(wait_ms);
+    let io_err = |msg: String| Response::Err {
+        code: ErrCode::Io,
+        msg,
+    };
     loop {
-        // The read guard pins one consistent (epoch, next) cut; the
-        // snapshot path captures the cut's shape under it (length +
-        // tombstone set) and syncs the WAL so nothing non-durable can
-        // leave the primary, then copies with the guard released.
-        let (wal_epoch, next) = {
-            let guard = shared.read();
-            let wal_epoch = shared.wal_epoch().unwrap_or(0);
-            let next = shared.wal_next_lsn().unwrap_or(1);
-            // A poll from a NEWER epoch means a peer was promoted onto a
-            // timeline this server has never seen: this server is a
-            // deposed primary. Serving the generic mismatch path below
-            // would hand the caller a STALE snapshot and roll the new
-            // timeline back — instead, fence ourselves at the caller's
-            // epoch (persisted in the manifest, so a crash cannot
-            // unfence us) and answer read-only. This in-band handshake
-            // is how an ex-primary learns of its own demotion.
-            if epoch > wal_epoch {
-                drop(guard);
-                if let Err(e) = shared.fence_at(epoch) {
-                    return Response::Err {
-                        code: ErrCode::Io,
-                        msg: format!("failed to persist fence at epoch {epoch}: {e}"),
-                    };
-                }
-                repl.note_fenced(epoch);
-                return Response::Err {
-                    code: ErrCode::ReadOnly,
-                    msg: format!(
-                        "fenced: peer {peer} is on newer epoch {epoch} (local {wal_epoch}); \
-                         this ex-primary is read-only until it re-syncs from the new primary"
-                    ),
-                };
+        let (wal_epoch, next) = index.wal_position().unwrap_or((0, 1));
+        // A poll from a NEWER epoch means a peer was promoted onto a
+        // timeline this server has never seen: this server is a deposed
+        // primary. Serving the generic mismatch path below would hand the
+        // caller a STALE snapshot and roll the new timeline back —
+        // instead, fence ourselves at the caller's epoch (persisted in the
+        // manifest, so a crash cannot unfence us) and answer read-only.
+        // This in-band handshake is how an ex-primary learns of its own
+        // demotion.
+        if epoch > wal_epoch {
+            if let Err(e) = index.fence_at(epoch) {
+                return io_err(format!("failed to persist fence at epoch {epoch}: {e}"));
             }
-            // `from == 0` is the reserved bootstrap position: the
-            // follower has no state at all, so no epoch's log can
-            // cover it.
-            if epoch != wal_epoch || from == 0 || from > next {
-                // Still under the guard (no mutation can interleave):
-                // make every LSN below `next` durable, so a primary
-                // crash after the transfer cannot lose state the
-                // follower now holds.
-                if let Err(e) = shared.sync_wal() {
-                    return Response::Err {
-                        code: ErrCode::Io,
-                        msg: format!("snapshot cut sync failed: {e}"),
-                    };
-                }
-                let len = guard.len();
-                let seq_len = guard.seq_len();
-                let dead: HashSet<usize> = guard.deleted_ordinals().into_iter().collect();
-                drop(guard);
-                let resp = snapshot_response(shared, wal_epoch, next, len, seq_len, &dead);
-                // A checkpoint may have landed while the copy ran with
-                // the guard released; its epoch bump invalidates the
-                // pinned cut, so rebuild at the new one.
-                if shared.wal_epoch().unwrap_or(0) != wal_epoch {
-                    continue;
-                }
-                if matches!(resp, Response::ReplSnapshot { .. }) {
-                    repl.mark_resync(peer);
-                }
-                return resp;
+            repl.note_fenced(epoch);
+            return Response::Err {
+                code: ErrCode::ReadOnly,
+                msg: format!(
+                    "fenced: peer {peer} is on newer epoch {epoch} (local {wal_epoch}); \
+                     this ex-primary is read-only until it re-syncs from the new primary"
+                ),
+            };
+        }
+        // `from == 0` is the reserved bootstrap position: the follower has
+        // no state at all, so no epoch's log can cover it.
+        if epoch != wal_epoch || from == 0 || from > next {
+            // The cut syncs the log under the insert gate, so a primary
+            // crash after the transfer cannot lose state the follower now
+            // holds; the copy then runs with the gate released.
+            let cut = match index.snapshot_cut() {
+                Ok(cut) => cut,
+                Err(e) => return io_err(format!("snapshot cut sync failed: {e}")),
+            };
+            let resp = snapshot_response(index, &cut);
+            // A checkpoint may have landed while the copy ran; its epoch
+            // bump invalidates the pinned cut, so rebuild at the new one.
+            if index.wal_epoch() != Some(cut.epoch) {
+                continue;
             }
-            (wal_epoch, next)
-        };
+            if matches!(resp, Response::ReplSnapshot { .. }) {
+                repl.mark_resync(peer);
+            }
+            return resp;
+        }
         // Capture the append generation BEFORE scanning: a mutation that
-        // lands mid-scan changes the generation, so the wait below
-        // returns immediately instead of sleeping past it.
+        // lands mid-scan changes the generation, so the wait below returns
+        // immediately instead of sleeping past it.
         let gen = repl.append_gen();
-        // The file scan runs with the guard RELEASED so catch-up reads
-        // never stall primary writes: the log bounds the read by its own
+        // The file scan runs without the gate so catch-up reads never
+        // stall primary writes: the log bounds the read by its own
         // durable-prefix snapshot (a concurrent append can't tear a
         // frame), and the one mutation that can invalidate the bytes — a
         // checkpoint truncating the log — is detected by re-checking the
         // epoch afterwards and retrying (the next pass snapshots). The
         // peer cursor resumes the scan where the last served frame ended.
         let hint = repl.peer_cursor(peer, wal_epoch, from);
-        let frames = shared.wal_frames_since_hinted(from, max, hint);
-        if shared.wal_epoch().unwrap_or(0) != wal_epoch {
+        let frames = index.frames_since_hinted(from, max, hint);
+        if index.wal_epoch() != Some(wal_epoch) {
             continue;
         }
         let (frames, cursor) = match frames {
             Ok(got) => got,
-            Err(e) => {
-                return Response::Err {
-                    code: ErrCode::Io,
-                    msg: e.to_string(),
-                }
-            }
+            Err(e) => return io_err(e.to_string()),
         };
         if !frames.is_empty() || Instant::now() >= deadline {
             let bytes: u64 = frames.iter().map(|op| encode_frame(op).len() as u64).sum();
@@ -496,53 +466,37 @@ pub fn serve_repl(backend: &Backend, repl: &ReplState, peer: &str, poll: ReplPol
     }
 }
 
-/// Ordinals copied per read-guard acquisition in [`snapshot_response`],
-/// so writers and checkpoints interleave with a large transfer instead
-/// of stalling for its whole duration.
-const SNAPSHOT_COPY_BATCH: usize = 256;
-
-/// Copies the cut pinned by the caller — `len` ordinals, `dead`
-/// tombstones, `seq_len` — re-acquiring the read guard per batch. Safe
-/// without holding the guard across batches because ordinals below a
-/// cut are immutable: inserts only append, deletes only tombstone, and
-/// the heap record behind `fetch_series` survives tombstoning. The one
-/// operation that can invalidate them — a checkpoint swapping the index
-/// — bumps the WAL epoch, which the caller re-checks after this returns.
-fn snapshot_response(
-    shared: &SharedIndex,
-    epoch: u64,
-    next: u64,
-    len: usize,
-    seq_len: usize,
-    dead: &HashSet<usize>,
-) -> Response {
-    let mut entries = Vec::with_capacity(len);
-    for batch_start in (0..len).step_by(SNAPSHOT_COPY_BATCH) {
-        let guard = shared.read();
-        for ord in batch_start..(batch_start + SNAPSHOT_COPY_BATCH).min(len) {
-            // fetch_series reads the heap record, which tombstoning
-            // keeps: dead ordinals ship too (live=no) so the follower
-            // reproduces the exact ordinal assignment.
-            let ts = match guard.fetch_series(ord) {
-                Ok(ts) => ts,
-                Err(e) => {
-                    return Response::Err {
-                        code: ErrCode::Io,
-                        msg: format!("snapshot transfer failed at ordinal {ord}: {e}"),
-                    }
+/// Copies the cut by global ordinal. Safe without holding the gate
+/// because ordinals below a cut are immutable: inserts only append,
+/// deletes only tombstone, and the heap record behind `fetch_series`
+/// survives tombstoning. The one operation that can invalidate them — a
+/// snapshot install swapping the state — bumps the epoch, which the
+/// caller re-checks after this returns.
+fn snapshot_response(index: &ShardedIndex, cut: &SnapshotCut) -> Response {
+    let dead: HashSet<usize> = cut.dead.iter().copied().collect();
+    let mut entries = Vec::with_capacity(cut.len);
+    for ord in 0..cut.len {
+        // Dead ordinals ship too (live=no) so the follower reproduces the
+        // exact ordinal assignment.
+        let ts = match index.fetch_series(ord) {
+            Ok(ts) => ts,
+            Err(e) => {
+                return Response::Err {
+                    code: ErrCode::Io,
+                    msg: format!("snapshot transfer failed at ordinal {ord}: {e}"),
                 }
-            };
-            entries.push(SnapEntry {
-                ord: ord as u64,
-                live: !dead.contains(&ord),
-                values: ts.values().to_vec(),
-            });
-        }
+            }
+        };
+        entries.push(SnapEntry {
+            ord: ord as u64,
+            live: !dead.contains(&ord),
+            values: ts.values().to_vec(),
+        });
     }
     Response::ReplSnapshot {
-        epoch,
-        next,
-        seq_len,
+        epoch: cut.epoch,
+        next: cut.next_lsn,
+        seq_len: index.seq_len(),
         entries,
     }
 }
@@ -604,10 +558,10 @@ impl Default for FollowerOpts {
 }
 
 /// The follower side of replication: polls a primary for WAL frames and
-/// applies them to the local [`SharedIndex`] — the same handle the local
+/// applies them to the local [`ShardedIndex`] — the same handle the local
 /// server serves read-only queries from.
 pub struct Follower {
-    shared: SharedIndex,
+    index: Arc<ShardedIndex>,
     /// `None` between a connection failure and the next reconnect; the
     /// dead connection is dropped eagerly so a restarting primary's
     /// lingering handler thread sees EOF and releases its locks.
@@ -622,17 +576,21 @@ pub struct Follower {
 }
 
 impl Follower {
-    /// Connects to `primary` and prepares to replicate into `shared`.
-    /// A durable follower (one opened with `open_durable` on its own
-    /// directories) resumes from its persisted replica position instead
-    /// of re-transferring the snapshot.
-    pub fn connect(primary: &str, shared: SharedIndex, opts: FollowerOpts) -> io::Result<Self> {
+    /// Connects to `primary` and prepares to replicate into `index`, at
+    /// the index's own shard count. A durable follower (one opened with
+    /// `open_durable` on its own directories) resumes from its persisted
+    /// replica position instead of re-transferring the snapshot.
+    pub fn connect(
+        primary: &str,
+        index: Arc<ShardedIndex>,
+        opts: FollowerOpts,
+    ) -> io::Result<Self> {
         let client = Client::connect(primary)?;
         let stats = Arc::new(FollowerStats::default());
         let mut synced = false;
         if let Some(dir) = &opts.state_dir {
             if let Some((epoch, floor)) = read_replica_state(dir) {
-                shared.note_replica_position(epoch, floor);
+                index.note_replica_position(epoch, floor);
                 synced = true;
             }
         }
@@ -645,15 +603,14 @@ impl Follower {
         // timeline — so a durable follower claims `synced` only via its
         // REPLICA state file (written on every snapshot install), and
         // without one it re-bootstraps with `from=0`.
-        if synced
-            || (!shared.is_durable() && (shared.applied_lsn() > 0 || shared.replica_epoch() > 0))
+        if synced || (!index.is_durable() && (index.applied_lsn() > 0 || index.replica_epoch() > 0))
         {
             synced = true;
-            stats.epoch.store(replica_epoch(&shared), Ordering::Relaxed);
-            stats.acked.store(shared.applied_lsn(), Ordering::Relaxed);
+            stats.epoch.store(index.replica_epoch(), Ordering::Relaxed);
+            stats.acked.store(index.applied_lsn(), Ordering::Relaxed);
         }
         Ok(Self {
-            shared,
+            index,
             client: Some(client),
             primary: primary.to_string(),
             opts,
@@ -684,7 +641,7 @@ impl Follower {
 
     /// Highest primary LSN applied locally.
     pub fn applied(&self) -> u64 {
-        self.shared.applied_lsn()
+        self.index.applied_lsn()
     }
 
     /// Frames the primary holds beyond this follower's applied position.
@@ -701,7 +658,7 @@ impl Follower {
     /// the primary's acked tip. Crash-point tests step this directly.
     pub fn poll_once(&mut self) -> io::Result<usize> {
         let _span = simobs::trace::span("repl.apply");
-        let epoch = replica_epoch(&self.shared);
+        let epoch = self.index.replica_epoch();
         let from = if self.synced { self.applied() + 1 } else { 0 };
         let req = Request::Repl {
             epoch,
@@ -721,7 +678,7 @@ impl Follower {
                 // may already be on a newer timeline than the primary
                 // that answered. Applying the stale batch would graft
                 // old-timeline writes onto the promoted state — drop it.
-                if epoch < replica_epoch(&self.shared) {
+                if epoch < self.index.replica_epoch() {
                     return Ok(0);
                 }
                 let n = frames.len();
@@ -729,7 +686,7 @@ impl Follower {
                     self.stats
                         .bytes
                         .fetch_add(encode_frame(op).len() as u64, Ordering::Relaxed);
-                    match self.shared.apply_replicated(op) {
+                    match self.index.apply_replicated(op) {
                         Ok(_) => {}
                         Err(DurableError::Gap { .. }) => {
                             // The log cannot cover our position after
@@ -751,7 +708,7 @@ impl Follower {
                         }
                     }
                 }
-                self.shared.note_replica_epoch(epoch);
+                self.index.note_replica_epoch(epoch);
                 self.stats.epoch.store(epoch, Ordering::Relaxed);
                 self.stats.end.store(end, Ordering::Relaxed);
                 self.stats.acked.store(self.applied(), Ordering::Relaxed);
@@ -760,17 +717,17 @@ impl Follower {
             Response::ReplSnapshot {
                 epoch,
                 next,
-                seq_len,
                 entries,
+                ..
             } => {
                 // Same race as above, but worse: installing a stale
                 // snapshot would roll a freshly promoted node back to
                 // the deposed primary's state (and clear its fence).
-                if epoch < replica_epoch(&self.shared) {
+                if epoch < self.index.replica_epoch() {
                     return Ok(0);
                 }
                 let n = entries.len();
-                self.install_snapshot(epoch, next, seq_len, entries)?;
+                self.install_snapshot(epoch, next, entries)?;
                 self.synced = true;
                 self.stats.snapshots.fetch_add(1, Ordering::Relaxed);
                 self.stats.epoch.store(epoch, Ordering::Relaxed);
@@ -792,13 +749,12 @@ impl Follower {
         &mut self,
         epoch: u64,
         next: u64,
-        _seq_len: usize,
         entries: Vec<SnapEntry>,
     ) -> io::Result<usize> {
         if entries.is_empty() {
             // An empty primary: nothing to build, just adopt the
             // position (a fresh follower is empty too).
-            self.shared
+            self.index
                 .note_replica_position(epoch, next.saturating_sub(1));
             if let Some(dir) = &self.opts.state_dir {
                 write_replica_state(dir, epoch, next.saturating_sub(1))?;
@@ -806,9 +762,9 @@ impl Follower {
             return Ok(0);
         }
         let n = entries.len();
-        let index = build_snapshot_index(&entries)?;
-        self.shared
-            .install_replica_snapshot(index, epoch, next)
+        let replacement = build_snapshot_group(&entries, self.index.config())?;
+        self.index
+            .install_replica_snapshot(replacement, epoch, next)
             .map_err(|e| io::Error::other(format!("snapshot install: {e}")))?;
         if let Some(dir) = &self.opts.state_dir {
             write_replica_state(dir, epoch, next.saturating_sub(1))?;
@@ -859,43 +815,42 @@ impl Follower {
     }
 }
 
-/// The primary epoch this replica's state corresponds to: its
-/// [`SharedIndex::query_epoch`] coarse half on an in-memory follower is
-/// exactly the replicated epoch; a durable follower tracks it in its
-/// persisted replica state, re-asserted via `note_replica_position`.
-fn replica_epoch(shared: &SharedIndex) -> u64 {
-    shared.replica_epoch()
-}
-
-/// Rebuilds a [`SeqIndex`] from a snapshot transfer: inserts every
-/// ordinal in order, then re-applies the tombstones, so ordinal
-/// assignment (including skipped/degenerate sequences) is byte-exact.
-fn build_snapshot_index(entries: &[SnapEntry]) -> io::Result<SeqIndex> {
+/// Rebuilds a group from a snapshot transfer with this node's own shard
+/// configuration: inserts every global ordinal in order, then re-applies
+/// the tombstones, so ordinal assignment (including skipped/degenerate
+/// sequences) is byte-exact whatever the shard counts on either side.
+fn build_snapshot_group(entries: &[SnapEntry], cfg: ShardConfig) -> io::Result<ShardedIndex> {
     let names = (0..entries.len()).map(|i| format!("s{i}")).collect();
     let series = entries
         .iter()
         .map(|e| TimeSeries::new(e.values.clone()))
         .collect();
     let corpus = tseries::Corpus::from_parts(names, series);
-    let mut index = SeqIndex::build(&corpus, IndexConfig::default())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "unbuildable snapshot"))?;
-    for e in entries {
-        if !e.live {
-            index
-                .delete_series(e.ord as usize)
-                .map_err(|err| io::Error::other(format!("snapshot tombstone: {err}")))?;
-        }
+    let group = ShardedIndex::build(&corpus, cfg, IndexConfig::default()).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unbuildable snapshot: {e}"),
+        )
+    })?;
+    for e in entries.iter().filter(|e| !e.live) {
+        group
+            .delete_series(e.ord as usize)
+            .map_err(|err| io::Error::other(format!("snapshot tombstone: {err}")))?;
     }
-    Ok(index)
+    Ok(group)
 }
 
 /// Bootstraps an in-memory follower that starts with no index at all:
 /// fetches the primary's snapshot synchronously, builds the replica
-/// index, and returns the ready [`SharedIndex`] (serve it with
-/// [`crate::server::serve_with`]) plus the connected [`Follower`].
-/// Fails on an empty primary — give such a follower an `--index` to
-/// start from instead.
-pub fn bootstrap(primary: &str, opts: FollowerOpts) -> io::Result<(SharedIndex, Follower)> {
+/// across `shards`, and returns the ready index (serve it with
+/// [`crate::server::serve_with`]) plus the connected [`Follower`]. Fails
+/// on an empty primary — give such a follower an `--index` to start from
+/// instead.
+pub fn bootstrap(
+    primary: &str,
+    shards: ShardConfig,
+    opts: FollowerOpts,
+) -> io::Result<(Arc<ShardedIndex>, Follower)> {
     let mut client = Client::connect(primary)?;
     let resp = client.call(&Request::Repl {
         epoch: 0,
@@ -922,23 +877,22 @@ pub fn bootstrap(primary: &str, opts: FollowerOpts) -> io::Result<(SharedIndex, 
             "cannot bootstrap from an empty primary; start the follower with --index",
         ));
     }
-    let index = build_snapshot_index(&entries)?;
-    let shared = SharedIndex::new(index);
-    shared.note_replica_position(epoch, next.saturating_sub(1));
+    let index = Arc::new(build_snapshot_group(&entries, shards)?);
+    index.note_replica_position(epoch, next.saturating_sub(1));
     let stats = Arc::new(FollowerStats::default());
     stats.epoch.store(epoch, Ordering::Relaxed);
     stats.end.store(next, Ordering::Relaxed);
-    stats.acked.store(shared.applied_lsn(), Ordering::Relaxed);
+    stats.acked.store(index.applied_lsn(), Ordering::Relaxed);
     stats.snapshots.store(1, Ordering::Relaxed);
     let follower = Follower {
-        shared: shared.clone(),
+        index: Arc::clone(&index),
         client: Some(client),
         primary: primary.to_string(),
         opts,
         stats,
         synced: true,
     };
-    Ok((shared, follower))
+    Ok((index, follower))
 }
 
 #[cfg(test)]

@@ -13,8 +13,9 @@
 //!   channel. The pool's queue is bounded: a full queue rejects the
 //!   request with `ERR code=BUSY` *before* any index work happens.
 //!
-//! Queries take the index's read lock (concurrent), `INSERT`/`DELETE`
-//! take the write lock (exclusive).
+//! Every server executes against one [`ShardedIndex`] — a single index
+//! is its 1-shard case. Queries take the shards' read locks (concurrent),
+//! `INSERT`/`DELETE` write-lock the one shard they touch.
 
 use crate::metrics::{op_index, Registry};
 use crate::pool::{PushError, WorkerPool};
@@ -27,7 +28,7 @@ use simobs::{SlowEntry, SlowLog};
 use simquery::prelude::*;
 use simquery::report::{JoinResult, QueryError};
 use simquery::shared::DurableError;
-use simshard::{gather, ShardError, ShardedIndex};
+use simshard::{gather, ShardedIndex};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -78,10 +79,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// The index a server executes against: a single [`SharedIndex`] (one
-/// lock), or a [`ShardedIndex`] (per-shard locks, scatter-gather
-/// execution, per-shard `STATS` breakdown). `JOIN` is only available on a
-/// single backend — its cross-shard pairs would defeat the partitioning.
+/// The index a server is started on: a single [`SharedIndex`] (served as
+/// a 1-shard group over the same lock) or a [`ShardedIndex`]. [`serve`]
+/// resolves either into the one handle every request executes against.
 #[derive(Clone)]
 pub enum Backend {
     /// One index behind one lock.
@@ -152,8 +152,8 @@ impl ServerHandle {
 
 /// Starts serving `backend` per `cfg` (a bare [`SharedIndex`] converts
 /// into a single-index backend). Returns once the listener is bound.
-/// The server answers `REPL` polls whenever the backend is a durable
-/// single index — any such server can feed followers.
+/// The server answers `REPL` polls whenever the index is durable — any
+/// such server can feed followers, at any shard count.
 pub fn serve(backend: impl Into<Backend>, cfg: &ServerConfig) -> io::Result<ServerHandle> {
     serve_with(backend, cfg, None)
 }
@@ -166,7 +166,10 @@ pub fn serve_with(
     cfg: &ServerConfig,
     follower: Option<Arc<FollowerStats>>,
 ) -> io::Result<ServerHandle> {
-    let backend = backend.into();
+    let index = match backend.into() {
+        Backend::Single(shared) => Arc::new(ShardedIndex::from_shared(shared)),
+        Backend::Sharded(sharded) => sharded,
+    };
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
     let metrics = Arc::new(Registry::default());
@@ -209,7 +212,7 @@ pub fn serve_with(
                     }
                     metrics.record_connection();
                     live_conns.fetch_add(1, Ordering::SeqCst);
-                    let backend = backend.clone();
+                    let index = Arc::clone(&index);
                     let metrics = Arc::clone(&metrics);
                     let pool = Arc::clone(&pool);
                     let cache = Arc::clone(&cache);
@@ -223,7 +226,7 @@ pub fn serve_with(
                                 .map(|a| a.to_string())
                                 .unwrap_or_else(|_| "unknown".into());
                             let _ = handle_connection(
-                                stream, &backend, &metrics, &pool, &cache, &repl, &peer,
+                                stream, &index, &metrics, &pool, &cache, &repl, &peer,
                             );
                             repl.drop_peer(&peer);
                             live_conns.fetch_sub(1, Ordering::SeqCst);
@@ -244,7 +247,7 @@ pub fn serve_with(
 
 fn handle_connection(
     stream: TcpStream,
-    backend: &Backend,
+    index: &Arc<ShardedIndex>,
     metrics: &Arc<Registry>,
     pool: &Arc<WorkerPool>,
     cache: &Arc<PlanCache>,
@@ -297,7 +300,7 @@ fn handle_connection(
                 max,
                 wait_ms,
             };
-            let response = serve_repl(backend, repl, peer, poll);
+            let response = serve_repl(index, repl, peer, poll);
             let is_err = matches!(response, Response::Err { .. });
             metrics.record(op_index("repl"), start.elapsed(), is_err);
             response.write_to(&mut writer)?;
@@ -309,14 +312,14 @@ fn handle_connection(
         // BUSY error — the admission-control contract.
         let (tx, rx) = mpsc::channel::<Response>();
         let job = {
-            let backend = backend.clone();
+            let index = Arc::clone(index);
             let metrics = Arc::clone(metrics);
             let cache = Arc::clone(cache);
             let repl = Arc::clone(repl);
             Box::new(move || {
                 let op = op_index(request.op_name());
                 let start = Instant::now();
-                let response = execute(&backend, &metrics, &cache, &repl, request);
+                let response = execute(&index, &metrics, &cache, &repl, request);
                 let is_err = matches!(response, Response::Err { .. });
                 metrics.record(op, start.elapsed(), is_err);
                 let _ = tx.send(response);
@@ -367,13 +370,13 @@ impl Request {
     }
 }
 
-/// Executes one request against the backend. `Stats` reads the metrics
+/// Executes one request against the index. `Stats` reads the metrics
 /// registry; everything else touches only the index (or its shards).
 /// Query verbs build a [`LogicalQuery`], consult the result cache, and
 /// route through the plan layer — the server never calls an engine
 /// directly.
 fn execute(
-    backend: &Backend,
+    index: &ShardedIndex,
     metrics: &Registry,
     cache: &PlanCache,
     repl: &ReplState,
@@ -391,172 +394,68 @@ fn execute(
         );
     }
     match request {
-        Request::Query(p) => run_query(backend, cache, metrics.slow(), p),
-        Request::Knn { ord, k, ma } => run_knn(backend, cache, metrics.slow(), ord, k, ma),
+        Request::Query(p) => run_query(index, cache, metrics.slow(), p),
+        Request::Knn { ord, k, ma } => run_knn(index, cache, metrics.slow(), ord, k, ma),
         Request::Join {
             ma,
             threshold,
             engine,
             limit,
-        } => run_join(backend, cache, metrics.slow(), ma, threshold, engine, limit),
-        Request::Explain { inner } => run_explain(backend, *inner),
-        Request::Insert { values } => {
-            let ts = TimeSeries::new(values);
-            // The WAL-aware mutation paths: logged-then-acked when the
-            // backend is durable, plain apply otherwise.
-            let outcome = match backend {
-                Backend::Single(shared) => shared.insert_series(&ts),
-                Backend::Sharded(sharded) => sharded.insert_series(&ts),
-            };
-            match outcome {
-                Ok(ord) => {
-                    repl.notify_append();
-                    Response::Inserted { ord }
-                }
-                Err(e) => durable_err(e),
+        } => run_join(index, cache, metrics.slow(), ma, threshold, engine, limit),
+        Request::Explain { inner } => run_explain(index, *inner),
+        // The WAL-aware mutation paths: logged-then-acked when the index
+        // is durable, plain apply otherwise.
+        Request::Insert { values } => match index.insert_series(&TimeSeries::new(values)) {
+            Ok(ord) => {
+                repl.notify_append();
+                Response::Inserted { ord }
             }
-        }
-        Request::Delete { ord } => {
-            let outcome = match backend {
-                Backend::Single(shared) => shared.delete_series(ord),
-                Backend::Sharded(sharded) => sharded.delete_series(ord),
-            };
-            match outcome {
-                Ok(existed) => {
-                    if existed {
-                        repl.notify_append();
-                    }
-                    Response::Deleted { existed }
-                }
-                Err(e) => durable_err(e),
-            }
-        }
-        Request::Sync => {
-            let outcome = match backend {
-                Backend::Single(shared) => shared.sync_wal().map_err(durable_err),
-                Backend::Sharded(sharded) => sharded.sync_wal().map_err(shard_err),
-            };
-            match outcome {
-                Ok(true) => Response::Ok,
-                Ok(false) => not_durable(),
-                Err(resp) => resp,
-            }
-        }
-        Request::Checkpoint => {
-            let outcome = match backend {
-                Backend::Single(shared) => shared.checkpoint().map_err(durable_err),
-                Backend::Sharded(sharded) => sharded.checkpoint().map_err(shard_err),
-            };
-            match outcome {
-                Ok(Some(epoch)) => Response::Checkpointed { epoch },
-                Ok(None) => not_durable(),
-                Err(resp) => resp,
-            }
-        }
-        Request::Info => match backend {
-            Backend::Single(shared) => {
-                let index = shared.read();
-                let mut info = vec![
-                    ("sequences".into(), index.len().to_string()),
-                    ("seq_len".into(), index.seq_len().to_string()),
-                    ("tree_height".into(), index.height().to_string()),
-                    ("leaf_capacity".into(), index.leaf_capacity().to_string()),
-                    ("skipped".into(), index.skipped().len().to_string()),
-                    ("deleted".into(), index.deleted_count().to_string()),
-                    ("durable".into(), shared.is_durable().to_string()),
-                    (
-                        "role".into(),
-                        if repl.is_follower() {
-                            "follower".into()
-                        } else {
-                            "primary".to_string()
-                        },
-                    ),
-                ];
-                if let Some(epoch) = shared.wal_epoch() {
-                    info.push(("wal_epoch".into(), epoch.to_string()));
-                }
-                info.push(("fenced".into(), shared.is_fenced().to_string()));
-                let fence = shared.fence();
-                if fence > 0 {
-                    info.push(("fence_epoch".into(), fence.to_string()));
-                }
-                if repl.is_follower() {
-                    info.push(("applied_lsn".into(), shared.applied_lsn().to_string()));
-                }
-                Response::Info(info)
-            }
-            Backend::Sharded(sharded) => {
-                let loads = sharded.shard_loads();
-                let mut info = vec![
-                    ("sequences".into(), sharded.len().to_string()),
-                    ("seq_len".into(), sharded.seq_len().to_string()),
-                    ("shards".into(), sharded.shard_count().to_string()),
-                    ("partitioner".into(), sharded.partitioner_kind().to_string()),
-                    ("deleted".into(), sharded.deleted_count().to_string()),
-                    (
-                        "shard_loads".into(),
-                        loads
-                            .iter()
-                            .map(|l| l.to_string())
-                            .collect::<Vec<_>>()
-                            .join(","),
-                    ),
-                    ("durable".into(), sharded.is_durable().to_string()),
-                ];
-                if sharded.is_durable() {
-                    info.push(("wal_epoch".into(), sharded.epoch().to_string()));
-                }
-                Response::Info(info)
-            }
+            Err(e) => durable_err(e),
         },
-        Request::Stats { reset } => {
-            let (counters, shards) = match backend {
-                Backend::Single(shared) => (shared.read().counters(), Vec::new()),
-                Backend::Sharded(sharded) => {
-                    let loads = sharded.shard_loads();
-                    let per = sharded.per_shard_counters();
-                    let lines = per
-                        .iter()
-                        .enumerate()
-                        .map(|(id, c)| crate::protocol::ShardStatLine {
-                            id,
-                            seqs: loads.get(id).copied().unwrap_or(0) as u64,
-                            node_reads: c.node_reads,
-                            record_page_reads: c.record_page_reads,
-                            record_fetches: c.record_fetches,
-                        })
-                        .collect();
-                    // Totals from the same snapshot, so the COUNTERS line
-                    // always equals the sum of the SHARD lines.
-                    let total =
-                        per.iter()
-                            .fold(simquery::index::AccessCounters::default(), |acc, c| {
-                                simquery::index::AccessCounters {
-                                    node_reads: acc.node_reads + c.node_reads,
-                                    record_page_reads: acc.record_page_reads + c.record_page_reads,
-                                    record_fetches: acc.record_fetches + c.record_fetches,
-                                }
-                            });
-                    (total, lines)
+        Request::Delete { ord } => match index.delete_series(ord) {
+            Ok(existed) => {
+                if existed {
+                    repl.notify_append();
                 }
-            };
-            let wal = match backend {
-                Backend::Single(shared) => shared.wal_stats().map(|s| (s, shared.wal_epoch())),
-                Backend::Sharded(sharded) => {
-                    sharded.wal_stats().map(|s| (s, Some(sharded.epoch())))
-                }
+                Response::Deleted { existed }
             }
-            .map(|(s, epoch)| crate::protocol::WalStatLine {
+            Err(e) => durable_err(e),
+        },
+        Request::Sync => match index.sync_wal() {
+            Ok(true) => Response::Ok,
+            Ok(false) => not_durable(),
+            Err(e) => durable_err(e),
+        },
+        Request::Checkpoint => match index.checkpoint() {
+            Ok(Some(epoch)) => Response::Checkpointed { epoch },
+            Ok(None) => not_durable(),
+            Err(e) => durable_err(e),
+        },
+        Request::Info => Response::Info(info(index, repl)),
+        Request::Stats { reset } => {
+            let loads = index.shard_loads();
+            let per = index.per_shard_counters();
+            let shards = per
+                .iter()
+                .enumerate()
+                .map(|(id, c)| crate::protocol::ShardStatLine {
+                    id,
+                    seqs: loads.get(id).copied().unwrap_or(0) as u64,
+                    node_reads: c.node_reads,
+                    record_page_reads: c.record_page_reads,
+                    record_fetches: c.record_fetches,
+                })
+                .collect();
+            // Totals from the same snapshot, so the COUNTERS line always
+            // equals the sum of the SHARD lines.
+            let counters = simshard::index::sum_counters(&per);
+            let wal = index.wal_stats().map(|s| crate::protocol::WalStatLine {
                 appends: s.appends,
                 fsyncs: s.fsyncs,
                 replayed: s.replayed,
-                epoch: epoch.unwrap_or(0),
+                epoch: index.wal_epoch().unwrap_or(0),
             });
-            let snap = match backend {
-                Backend::Single(shared) => shared.stats().snapshot(),
-                Backend::Sharded(sharded) => sharded.stats().snapshot(),
-            };
+            let snap = index.stats().snapshot();
             let cc = cache.counters();
             let plan_line = Some(PlanStatLine {
                 built: snap.plans_built,
@@ -570,12 +469,12 @@ fn execute(
                 st: snap.dispatch_st,
                 scan: snap.dispatch_scan,
             });
-            let repl_line = repl.stat_line(backend);
+            let repl_line = repl.stat_line(index);
             Response::Stats(Box::new(
                 metrics.report(counters, shards, wal, plan_line, repl_line, reset),
             ))
         }
-        Request::Metrics => crate::expose::render(backend, metrics, cache, repl),
+        Request::Metrics => crate::expose::render(index, metrics, cache, repl),
         Request::Trace { n } => {
             let events = simobs::trace::global()
                 .drain(n)
@@ -591,35 +490,70 @@ fn execute(
                 .collect();
             Response::Trace { events }
         }
-        Request::Promote => match backend {
-            Backend::Single(shared) => {
-                if !repl.is_follower() {
-                    return err(
-                        ErrCode::Query,
-                        "PROMOTE: this server is already a primary (or standalone)",
-                    );
-                }
-                // Halt the replication loop and wait out any in-flight
-                // poll BEFORE touching the index, so no frame or
-                // snapshot from the old timeline can land on (or roll
-                // back) the promoted state.
-                repl.halt_follower_loop();
-                match shared.promote() {
-                    Ok(epoch) => {
-                        repl.promote_to_primary();
-                        Response::Promoted { epoch }
-                    }
-                    Err(e) => durable_err(e),
-                }
+        Request::Promote => {
+            if !repl.is_follower() {
+                return err(
+                    ErrCode::Query,
+                    "PROMOTE: this server is already a primary (or standalone)",
+                );
             }
-            Backend::Sharded(_) => err(
-                ErrCode::Query,
-                "PROMOTE requires a single-index server (shards replicate separately)",
-            ),
-        },
+            // Halt the replication loop and wait out any in-flight poll
+            // BEFORE touching the index, so no frame or snapshot from the
+            // old timeline can land on (or roll back) the promoted state.
+            repl.halt_follower_loop();
+            match index.promote() {
+                Ok(epoch) => {
+                    repl.promote_to_primary();
+                    Response::Promoted { epoch }
+                }
+                Err(e) => durable_err(e),
+            }
+        }
         // Both handled on the connection thread, never submitted here.
         Request::Repl { .. } | Request::Quit => Response::Ok,
     }
+}
+
+/// The `INFO` key/value list: shape, durability, role and fencing.
+fn info(index: &ShardedIndex, repl: &ReplState) -> Vec<(String, String)> {
+    let loads = index.shard_loads();
+    let role = if repl.is_follower() {
+        "follower"
+    } else {
+        "primary"
+    };
+    let mut info: Vec<(String, String)> = vec![
+        ("sequences".into(), index.len().to_string()),
+        ("seq_len".into(), index.seq_len().to_string()),
+        ("tree_height".into(), index.height().to_string()),
+        ("leaf_capacity".into(), index.leaf_capacity().to_string()),
+        ("skipped".into(), index.skipped_count().to_string()),
+        ("deleted".into(), index.deleted_count().to_string()),
+        ("shards".into(), index.shard_count().to_string()),
+        ("partitioner".into(), index.partitioner_kind().to_string()),
+        (
+            "shard_loads".into(),
+            loads
+                .iter()
+                .map(|l| l.to_string())
+                .collect::<Vec<_>>()
+                .join(","),
+        ),
+        ("durable".into(), index.is_durable().to_string()),
+        ("role".into(), role.into()),
+    ];
+    if let Some(epoch) = index.wal_epoch() {
+        info.push(("wal_epoch".into(), epoch.to_string()));
+    }
+    info.push(("fenced".into(), index.is_fenced().to_string()));
+    let fence = index.fence();
+    if fence > 0 {
+        info.push(("fence_epoch".into(), fence.to_string()));
+    }
+    if repl.is_follower() {
+        info.push(("applied_lsn".into(), index.applied_lsn().to_string()));
+    }
+    info
 }
 
 fn err(code: ErrCode, msg: impl Into<String>) -> Response {
@@ -639,11 +573,6 @@ fn query_err(e: QueryError) -> Response {
     err(code, e.to_string())
 }
 
-/// A raw page failure (e.g. fetching the query ordinal's record).
-fn io_err(e: pagestore::PageError) -> Response {
-    err(ErrCode::Io, QueryError::from(e).to_string())
-}
-
 /// Durable-mutation errors: engine rejections keep their `QUERY`/`IO`
 /// split; WAL and snapshot failures are `IO`; a replication gap is a
 /// protocol-level inconsistency, so `SERVER`.
@@ -657,15 +586,6 @@ fn durable_err(e: DurableError) -> Response {
         // A fenced node is read-only by definition: the same signal a
         // follower sends, so FailoverClient chases both identically.
         fenced @ DurableError::Fenced { .. } => err(ErrCode::ReadOnly, fenced.to_string()),
-    }
-}
-
-fn shard_err(e: ShardError) -> Response {
-    match e {
-        ShardError::Page(_) | ShardError::Wal(_) | ShardError::Io(_) | ShardError::Poisoned => {
-            err(ErrCode::Io, e.to_string())
-        }
-        e => err(ErrCode::Query, e.to_string()),
     }
 }
 
@@ -737,90 +657,31 @@ fn pairs_response(r: &JoinResult, limit: usize) -> Response {
 /// Validates the ordinal and family, then fetches the query sequence —
 /// the shared front half of every ord-addressed query verb.
 fn prepare(
-    backend: &Backend,
+    index: &ShardedIndex,
     ord: usize,
     ma: (usize, usize),
 ) -> Result<(Family, TimeSeries), Response> {
-    match backend {
-        Backend::Single(shared) => {
-            let index = shared.read();
-            if ord >= index.len() {
-                return Err(err(
-                    ErrCode::Range,
-                    format!("ordinal {ord} out of range (0..{})", index.len()),
-                ));
-            }
-            let family = family_for(ma, index.seq_len())?;
-            let q = index.fetch_series(ord).map_err(io_err)?;
-            Ok((family, q))
-        }
-        Backend::Sharded(sharded) => {
-            if ord >= sharded.len() {
-                return Err(err(
-                    ErrCode::Range,
-                    format!("ordinal {ord} out of range (0..{})", sharded.len()),
-                ));
-            }
-            let family = family_for(ma, sharded.seq_len())?;
-            let q = sharded.fetch_series(ord).map_err(query_err)?;
-            Ok((family, q))
-        }
+    if ord >= index.len() {
+        return Err(err(
+            ErrCode::Range,
+            format!("ordinal {ord} out of range (0..{})", index.len()),
+        ));
     }
+    let family = family_for(ma, index.seq_len())?;
+    let q = index.fetch_series(ord).map_err(query_err)?;
+    Ok((family, q))
 }
 
-/// The cache epoch of the backend's current state.
-fn backend_epoch(backend: &Backend) -> QueryEpoch {
-    match backend {
-        Backend::Single(shared) => shared.query_epoch(),
-        Backend::Sharded(sharded) => sharded.query_epoch(),
+/// JOIN's family, or the typed refusal a multi-shard index answers.
+fn join_family(index: &ShardedIndex, ma: (usize, usize)) -> Result<Family, Response> {
+    if index.shard_count() > 1 {
+        return Err(err(
+            ErrCode::Query,
+            "JOIN is not supported on a sharded backend (pairs cross shards); \
+             serve the index unsharded to join",
+        ));
     }
-}
-
-/// Plans and executes a logical query against either backend shape,
-/// returning the plan and its output.
-fn dispatch(
-    backend: &Backend,
-    lq: &LogicalQuery,
-    q: Option<&TimeSeries>,
-) -> Result<(PhysicalPlan, PlanOutput), QueryError> {
-    let (plan, out, _) = dispatch_timed(backend, lq, q)?;
-    Ok((plan, out))
-}
-
-/// [`dispatch`], but also reporting the plan/execute wall-clock split.
-/// The scatter-gather path can't separate planning from execution (each
-/// shard plans inside its lane), so there the whole call counts as
-/// execution and `plan_us` stays 0.
-fn dispatch_timed(
-    backend: &Backend,
-    lq: &LogicalQuery,
-    q: Option<&TimeSeries>,
-) -> Result<(PhysicalPlan, PlanOutput, StageTimings), QueryError> {
-    match backend {
-        Backend::Single(shared) => shared.execute_timed(lq, q),
-        Backend::Sharded(sharded) => {
-            let start = Instant::now();
-            let (plan, out) = match lq.verb {
-                LogicalVerb::Range => {
-                    let query = q.expect("range queries carry a query sequence");
-                    let (plan, r, _per_shard) = gather::execute_range(sharded, lq, query)?;
-                    (plan, PlanOutput::Range(r))
-                }
-                LogicalVerb::Knn { .. } => {
-                    let query = q.expect("kNN queries carry a query sequence");
-                    let (plan, matches, merged, _per_shard) =
-                        gather::execute_knn(sharded, lq, query)?;
-                    (plan, PlanOutput::Knn(matches, merged))
-                }
-                LogicalVerb::Join => unreachable!("JOIN is rejected on sharded backends"),
-            };
-            let timings = StageTimings {
-                plan_us: 0,
-                exec_us: start.elapsed().as_micros().min(u64::MAX as u128) as u64,
-            };
-            Ok((plan, out, timings))
-        }
-    }
+    family_for(ma, index.seq_len())
 }
 
 /// Matches (or pairs) an output carries, for the slow-query log.
@@ -840,20 +701,20 @@ fn output_matches(out: &PlanOutput) -> u64 {
 /// log actually fires); the result is then *offered* to the cache, which
 /// admits it only when its measured cost clears the admission floor.
 fn run_cached(
-    backend: &Backend,
+    index: &ShardedIndex,
     cache: &PlanCache,
     slow: &SlowLog,
     lq: &LogicalQuery,
     q: Option<&TimeSeries>,
     describe: impl FnOnce() -> String,
 ) -> Result<PlanOutput, Response> {
-    let epoch = backend_epoch(backend);
+    let epoch = index.query_epoch();
     let fp = lq.fingerprint(q);
     if let Some((_, out)) = cache.get(fp, epoch) {
         return Ok(out);
     }
     let start = Instant::now();
-    match dispatch_timed(backend, lq, q) {
+    match gather::execute_timed(index, lq, q) {
         Ok((plan, out, timings)) => {
             let total_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
             let m = out.metrics();
@@ -883,14 +744,14 @@ fn run_cached(
     }
 }
 
-fn run_query(backend: &Backend, cache: &PlanCache, slow: &SlowLog, p: QueryParams) -> Response {
-    let (family, q) = match prepare(backend, p.ord, p.ma) {
+fn run_query(index: &ShardedIndex, cache: &PlanCache, slow: &SlowLog, p: QueryParams) -> Response {
+    let (family, q) = match prepare(index, p.ord, p.ma) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
     let lq = LogicalQuery::range(family, p.threshold.to_spec()).with_engine(engine_pref(p.engine));
     let describe = || Request::Query(p).to_line();
-    match run_cached(backend, cache, slow, &lq, Some(&q), describe) {
+    match run_cached(index, cache, slow, &lq, Some(&q), describe) {
         Ok(PlanOutput::Range(r)) => matches_response(&r.matches, &r.metrics, p.limit),
         Ok(_) => err(ErrCode::Server, "range plan produced a non-range result"),
         Err(resp) => resp,
@@ -898,20 +759,20 @@ fn run_query(backend: &Backend, cache: &PlanCache, slow: &SlowLog, p: QueryParam
 }
 
 fn run_knn(
-    backend: &Backend,
+    index: &ShardedIndex,
     cache: &PlanCache,
     slow: &SlowLog,
     ord: usize,
     k: usize,
     ma: (usize, usize),
 ) -> Response {
-    let (family, q) = match prepare(backend, ord, ma) {
+    let (family, q) = match prepare(index, ord, ma) {
         Ok(v) => v,
         Err(resp) => return resp,
     };
     let lq = LogicalQuery::knn(family, k);
     let describe = || Request::Knn { ord, k, ma }.to_line();
-    match run_cached(backend, cache, slow, &lq, Some(&q), describe) {
+    match run_cached(index, cache, slow, &lq, Some(&q), describe) {
         Ok(PlanOutput::Knn(matches, metrics)) => matches_response(&matches, &metrics, 0),
         Ok(_) => err(ErrCode::Server, "kNN plan produced a non-kNN result"),
         Err(resp) => resp,
@@ -919,7 +780,7 @@ fn run_knn(
 }
 
 fn run_join(
-    backend: &Backend,
+    index: &ShardedIndex,
     cache: &PlanCache,
     slow: &SlowLog,
     ma: (usize, usize),
@@ -927,14 +788,7 @@ fn run_join(
     engine: EngineKind,
     limit: usize,
 ) -> Response {
-    let Backend::Single(shared) = backend else {
-        return err(
-            ErrCode::Query,
-            "JOIN is not supported on a sharded backend (pairs cross shards); \
-             serve the index unsharded to join",
-        );
-    };
-    let family = match family_for(ma, shared.read().seq_len()) {
+    let family = match join_family(index, ma) {
         Ok(f) => f,
         Err(resp) => return resp,
     };
@@ -948,7 +802,7 @@ fn run_join(
         }
         .to_line()
     };
-    match run_cached(backend, cache, slow, &lq, None, describe) {
+    match run_cached(index, cache, slow, &lq, None, describe) {
         Ok(PlanOutput::Join(r)) => pairs_response(&r, limit),
         Ok(_) => err(ErrCode::Server, "join plan produced a non-join result"),
         Err(resp) => resp,
@@ -959,10 +813,10 @@ fn run_join(
 /// cache (an EXPLAIN that answered from cache would have no actual cost
 /// to report), and renders the chosen plan with estimated-vs-actual
 /// counters.
-fn run_explain(backend: &Backend, inner: Request) -> Response {
+fn run_explain(index: &ShardedIndex, inner: Request) -> Response {
     let (verb, lq, q) = match inner {
         Request::Query(p) => {
-            let (family, q) = match prepare(backend, p.ord, p.ma) {
+            let (family, q) = match prepare(index, p.ord, p.ma) {
                 Ok(v) => v,
                 Err(resp) => return resp,
             };
@@ -971,7 +825,7 @@ fn run_explain(backend: &Backend, inner: Request) -> Response {
             ("query", lq, Some(q))
         }
         Request::Knn { ord, k, ma } => {
-            let (family, q) = match prepare(backend, ord, ma) {
+            let (family, q) = match prepare(index, ord, ma) {
                 Ok(v) => v,
                 Err(resp) => return resp,
             };
@@ -983,14 +837,7 @@ fn run_explain(backend: &Backend, inner: Request) -> Response {
             engine,
             ..
         } => {
-            let Backend::Single(shared) = backend else {
-                return err(
-                    ErrCode::Query,
-                    "JOIN is not supported on a sharded backend (pairs cross shards); \
-                     serve the index unsharded to join",
-                );
-            };
-            let family = match family_for(ma, shared.read().seq_len()) {
+            let family = match join_family(index, ma) {
                 Ok(f) => f,
                 Err(resp) => return resp,
             };
@@ -1001,8 +848,8 @@ fn run_explain(backend: &Backend, inner: Request) -> Response {
         // Request::parse only wraps query verbs in EXPLAIN.
         _ => return err(ErrCode::BadRequest, "EXPLAIN wraps QUERY, KNN or JOIN"),
     };
-    match dispatch(backend, &lq, q.as_ref()) {
-        Ok((plan, out)) => {
+    match gather::execute_timed(index, &lq, q.as_ref()) {
+        Ok((plan, out, _)) => {
             let m = out.metrics();
             let n = match &out {
                 PlanOutput::Range(r) => r.matches.len(),

@@ -8,8 +8,8 @@
 use crate::load::{self, LoadConfig};
 use crate::opts::Opts;
 use crate::repl::{self, Follower, FollowerOpts};
-use crate::server::{self, Backend, ServerConfig, ServerHandle};
-use simquery::index::IndexConfig;
+use crate::server::{self, ServerConfig, ServerHandle};
+use simquery::index::{IndexConfig, SeqIndex};
 use simquery::shared::SharedIndex;
 use simshard::{ShardConfig, ShardedIndex};
 use simwal::FsyncPolicy;
@@ -29,13 +29,13 @@ USAGE:
             [--result-cache N] [--cache-floor COST]
             [--slow-query-ms N] [--trace-sample K]
   simserved --replicate-from HOST:PORT [--index DIR/] [--wal DIR/]
-            [--addr HOST:PORT] [...]
+            [--shards N] [--addr HOST:PORT] [...]
 
 `simseq serve` takes the same flags. The protocol is documented in
 crates/serve/PROTOCOL.md. Build an index with `simseq gen` + `simseq
 build` first (or a sharded one with `simseq build --shards N`).
 `--shards N` repartitions a single-index directory across N shards at
-startup; JOIN requires an unsharded backend. `--wal DIR/` makes
+startup; JOIN requires an unsharded index. `--wal DIR/` makes
 INSERT/DELETE durable (write-ahead logged, replayed on restart; see
 SYNC and CHECKPOINT in the protocol). `--result-cache N` answers
 repeated queries from an epoch-keyed LRU cache (mutations invalidate;
@@ -46,9 +46,11 @@ N ms (inspect with `simseq metrics`), and `--trace-sample K` records
 every K-th query's span tree into a bounded ring served by the TRACE
 verb (0 disables; see METRICS and TRACE in the protocol).
 `--replicate-from HOST:PORT` runs a read-only follower of a durable
-primary: without --index it bootstraps from a snapshot transfer, with
---index (+ --wal for durability) it resumes from local state; writes
-are refused with ERR code=READONLY.
+primary at any shard count: without --index it bootstraps from a
+snapshot transfer, partitioned across `--shards N` (default 1) whatever
+the primary's shard count; with --index (+ --wal for durability) it
+resumes from local state. Writes are refused with ERR code=READONLY
+until PROMOTE.
 ";
 
 /// `simload` help text (also `simseq load help`).
@@ -118,8 +120,9 @@ pub fn serve(argv: &[String]) -> Result<(), String> {
         Some(primary) => start_follower(&opts, primary, &cfg, wal, pool_pages, policy)?,
         None => {
             let dir = PathBuf::from(opts.req("index")?);
-            let backend = open_backend(&opts, &dir, wal, pool_pages, policy, &cfg)?;
-            server::serve(backend, &cfg).map_err(|e| format!("binding {}: {e}", cfg.addr))?
+            let index = open_index(&opts, &dir, wal, pool_pages, policy)?;
+            announce(&index, &cfg);
+            server::serve(index, &cfg).map_err(|e| format!("binding {}: {e}", cfg.addr))?
         }
     };
     println!("listening on {}", handle.addr);
@@ -144,78 +147,19 @@ fn server_config(opts: &Opts) -> Result<ServerConfig, String> {
     })
 }
 
-/// Opens `dir` as one index, durable when `wal` is given.
-fn open_single(
-    dir: &Path,
-    wal: Option<&Path>,
-    pool_pages: usize,
-    policy: FsyncPolicy,
-) -> Result<SharedIndex, String> {
-    let oops = |e: &dyn std::fmt::Display| format!("opening index {}: {e}", dir.display());
-    let Some(wal) = wal else {
-        return SharedIndex::open(dir, pool_pages).map_err(|e| oops(&e));
-    };
-    let (shared, rep) =
-        SharedIndex::open_durable(dir, wal, pool_pages, policy).map_err(|e| oops(&e))?;
-    eprintln!(
-        "wal: epoch {}, replayed {} frames ({} stale, {} torn bytes)",
-        rep.epoch, rep.frames, rep.stale_frames, rep.truncated_bytes
-    );
-    Ok(shared)
-}
-
-/// Opens the primary's backend: a sharded directory as-is, a single
-/// index repartitioned by `--shards N > 1`, or a single index.
-fn open_backend(
+/// Opens `dir` in either layout, durable when `wal` is given; a
+/// single-index directory is repartitioned by `--shards N > 1`.
+fn open_index(
     opts: &Opts,
     dir: &Path,
     wal: Option<&Path>,
     pool_pages: usize,
     policy: FsyncPolicy,
-    cfg: &ServerConfig,
-) -> Result<Backend, String> {
+) -> Result<ShardedIndex, String> {
     let shard_cfg = ShardConfig::parse(opts.get("shards").unwrap_or("1"), opts.get("partitioner"))?;
     let manifest = dir.join("sharding.txt");
-    if manifest.is_file() {
-        let oops =
-            |e: &dyn std::fmt::Display| format!("opening sharded index {}: {e}", dir.display());
-        let sharded = match wal {
-            None => ShardedIndex::open(dir, pool_pages).map_err(|e| oops(&e))?,
-            Some(wal) => {
-                let (sharded, rec) = ShardedIndex::open_durable(dir, wal, pool_pages, policy)
-                    .map_err(|e| oops(&e))?;
-                eprintln!(
-                    "wal: epoch {}, replayed {} frames ({} dropped, {} stale, {} torn bytes)",
-                    rec.epoch, rec.replayed, rec.dropped, rec.stale_frames, rec.truncated_bytes
-                );
-                sharded
-            }
-        };
-        // An already partitioned directory: explicit flags must agree
-        // with its manifest, not be silently ignored.
-        if opts.get("shards").is_some() && shard_cfg.shards != sharded.shard_count() {
-            return Err(format!(
-                "--shards {} conflicts with {}, which was built with {} shards; \
-                 drop the flag or rebuild with `simseq build --shards`",
-                shard_cfg.shards,
-                manifest.display(),
-                sharded.shard_count()
-            ));
-        }
-        if opts.get("partitioner").is_some() && shard_cfg.partitioner != sharded.partitioner_kind()
-        {
-            return Err(format!(
-                "--partitioner {} conflicts with {}, which was built with '{}'; \
-                 drop the flag or rebuild with `simseq build --shards`",
-                shard_cfg.partitioner,
-                manifest.display(),
-                sharded.partitioner_kind()
-            ));
-        }
-        announce(&sharded, cfg);
-        return Ok(Backend::from(sharded));
-    }
-    if shard_cfg.shards > 1 {
+    let oops = |e: &dyn std::fmt::Display| format!("opening index {}: {e}", dir.display());
+    if !manifest.is_file() && shard_cfg.shards > 1 {
         if wal.is_some() {
             return Err(
                 "--wal cannot be combined with --shards repartitioning; build a sharded \
@@ -223,37 +167,59 @@ fn open_backend(
                     .into(),
             );
         }
-        let shared = open_single(dir, None, pool_pages, policy)?;
+        let single = SeqIndex::open(dir, pool_pages).map_err(|e| oops(&e))?;
         let index_cfg = IndexConfig {
             heap_pool_pages: pool_pages,
             ..IndexConfig::default()
         };
-        let sharded = ShardedIndex::from_index(&shared.read(), shard_cfg, index_cfg)
-            .map_err(|e| format!("sharding {}: {e}", dir.display()))?;
-        announce(&sharded, cfg);
-        return Ok(Backend::from(sharded));
+        return ShardedIndex::from_index(&single, shard_cfg, index_cfg)
+            .map_err(|e| format!("sharding {}: {e}", dir.display()));
     }
-    let shared = open_single(dir, wal, pool_pages, policy)?;
-    {
-        let index = shared.read();
-        eprintln!(
-            "serving {} sequences of length {} ({} workers, queue {})",
-            index.len(),
-            index.seq_len(),
-            cfg.workers,
-            cfg.queue_depth
-        );
+    let index = match wal {
+        None => ShardedIndex::open(dir, pool_pages).map_err(|e| oops(&e))?,
+        Some(wal) => {
+            let (index, rep) =
+                ShardedIndex::open_durable(dir, wal, pool_pages, policy).map_err(|e| oops(&e))?;
+            eprintln!(
+                "wal: epoch {}, replayed {} frames ({} stale, {} torn bytes)",
+                rep.epoch, rep.frames, rep.stale_frames, rep.truncated_bytes
+            );
+            index
+        }
+    };
+    if !manifest.is_file() {
+        return Ok(index);
     }
-    Ok(Backend::from(shared))
+    // An already partitioned directory: explicit flags must agree with
+    // its manifest, not be silently ignored.
+    if opts.get("shards").is_some() && shard_cfg.shards != index.shard_count() {
+        return Err(format!(
+            "--shards {} conflicts with {}, which was built with {} shards; \
+             drop the flag or rebuild with `simseq build --shards`",
+            shard_cfg.shards,
+            manifest.display(),
+            index.shard_count()
+        ));
+    }
+    if opts.get("partitioner").is_some() && shard_cfg.partitioner != index.partitioner_kind() {
+        return Err(format!(
+            "--partitioner {} conflicts with {}, which was built with '{}'; \
+             drop the flag or rebuild with `simseq build --shards`",
+            shard_cfg.partitioner,
+            manifest.display(),
+            index.partitioner_kind()
+        ));
+    }
+    Ok(index)
 }
 
-fn announce(sharded: &ShardedIndex, cfg: &ServerConfig) {
+fn announce(index: &ShardedIndex, cfg: &ServerConfig) {
     eprintln!(
-        "serving {} sequences of length {} across {} shards ({}, {} workers, queue {})",
-        sharded.len(),
-        sharded.seq_len(),
-        sharded.shard_count(),
-        sharded.partitioner_kind(),
+        "serving {} sequences of length {} across {} shard(s) ({}, {} workers, queue {})",
+        index.len(),
+        index.seq_len(),
+        index.shard_count(),
+        index.partitioner_kind(),
         cfg.workers,
         cfg.queue_depth
     );
@@ -268,13 +234,6 @@ fn start_follower(
     pool_pages: usize,
     policy: FsyncPolicy,
 ) -> Result<ServerHandle, String> {
-    if opts.get("shards").is_some() || opts.get("partitioner").is_some() {
-        return Err(
-            "--replicate-from serves a single-index follower; --shards/--partitioner \
-             do not apply (shards ship separately)"
-                .into(),
-        );
-    }
     // Per-node jitter seed: distinct listen addresses give distinct
     // reconnect schedules, so a follower fleet doesn't thundering-herd a
     // recovering primary.
@@ -289,45 +248,39 @@ fn start_follower(
         reconnect_seed,
         ..FollowerOpts::default()
     };
-    let (shared, follower) = match opts.get("index").map(Path::new) {
+    let (index, follower) = match opts.get("index").map(Path::new) {
         None => {
             if wal.is_some() {
                 return Err("--wal on a follower requires --index \
                      (a durable follower opens both directories)"
                     .into());
             }
-            repl::bootstrap(primary, fopts)
+            let shards =
+                ShardConfig::parse(opts.get("shards").unwrap_or("1"), opts.get("partitioner"))?;
+            repl::bootstrap(primary, shards, fopts)
                 .map_err(|e| format!("bootstrapping from {primary}: {e}"))?
         }
         Some(dir) => {
-            if dir.join("sharding.txt").is_file() {
-                return Err(format!(
-                    "{} is a sharded directory; replication requires a single index",
-                    dir.display()
-                ));
-            }
-            let shared = open_single(dir, wal, pool_pages, policy)?;
-            let follower = Follower::connect(primary, shared.clone(), fopts)
+            let index = Arc::new(open_index(opts, dir, wal, pool_pages, policy)?);
+            let follower = Follower::connect(primary, Arc::clone(&index), fopts)
                 .map_err(|e| format!("connecting to primary {primary}: {e}"))?;
-            (shared, follower)
+            (index, follower)
         }
     };
-    {
-        let index = shared.read();
-        eprintln!(
-            "follower of {primary}: {} sequences of length {}, applied lsn {} \
-             ({} workers, queue {})",
-            index.len(),
-            index.seq_len(),
-            shared.applied_lsn(),
-            cfg.workers,
-            cfg.queue_depth
-        );
-    }
+    eprintln!(
+        "follower of {primary}: {} sequences of length {} across {} shard(s), \
+         applied lsn {} ({} workers, queue {})",
+        index.len(),
+        index.seq_len(),
+        index.shard_count(),
+        index.applied_lsn(),
+        cfg.workers,
+        cfg.queue_depth
+    );
     let stats = follower.stats();
     let stop = Arc::new(AtomicBool::new(false));
     let loop_handle = follower.spawn(Arc::clone(&stop));
-    let handle = server::serve_with(Backend::from(shared), cfg, Some(stats))
+    let handle = server::serve_with(index, cfg, Some(stats))
         .map_err(|e| format!("binding {}: {e}", cfg.addr))?;
     // Registered so a PROMOTE request can halt the poll loop before
     // flipping this server to primary.
@@ -349,10 +302,10 @@ pub fn load(argv: &[String]) -> Result<(), String> {
         None => None,
         // Read-only: the oracle may be the very directory the server
         // under test is serving (and holding the LOCK on).
-        Some(dir) => Some(
-            SharedIndex::open_read_only(Path::new(dir), opts.parse_or("pool-pages", 256)?)
+        Some(dir) => Some(SharedIndex::new(
+            SeqIndex::open_read_only(Path::new(dir), opts.parse_or("pool-pages", 256)?)
                 .map_err(|e| format!("opening verify index {dir}: {e}"))?,
-        ),
+        )),
     };
     let cfg = LoadConfig {
         addr: opts.req("addr")?.to_string(),

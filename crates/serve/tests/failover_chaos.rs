@@ -11,13 +11,13 @@
 //! content-based — every acked series is present — never count-based.
 
 use simquery::prelude::*;
-use simquery::shared::SharedIndex;
 use simserve::chaos::{ChaosPlan, ChaosProxy};
 use simserve::client::{Client, ClientConfig};
 use simserve::failover::{FailoverClient, FailoverConfig};
 use simserve::protocol::{EngineKind, QueryParams, Request, Response, WireThreshold};
 use simserve::repl::{Follower, FollowerOpts};
 use simserve::server::{serve, serve_with, ServerConfig};
+use simshard::ShardedIndex;
 use simwal::FsyncPolicy;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
@@ -25,6 +25,16 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tseries::random_walk;
 use tseries::rng::SeededRng;
+
+/// Opens a durable node as a handle its server and follower share.
+fn open_durable(
+    index: &std::path::Path,
+    wal: &std::path::Path,
+    pool: usize,
+    policy: FsyncPolicy,
+) -> Result<(Arc<ShardedIndex>, simwal::ReplayReport), simshard::ShardError> {
+    ShardedIndex::open_durable(index, wal, pool, policy).map(|(i, r)| (Arc::new(i), r))
+}
 
 const SEQ_LEN: usize = 32;
 const POOL: usize = 32;
@@ -55,17 +65,13 @@ fn fresh_dir(name: &str) -> PathBuf {
 
 /// The oracle result set, computed locally through the plan layer on
 /// the serving node's own state (the shape of `load::local_pairs`).
-fn local_pairs(shared: &SharedIndex, ord: usize) -> Vec<(usize, usize)> {
-    let (family, q) = {
-        let index = shared.read();
-        let family = Family::moving_averages(MA.0..=MA.1, index.seq_len());
-        let q = index.fetch_series(ord).expect("oracle ordinal is live");
-        (family, q)
-    };
+fn local_pairs(shared: &ShardedIndex, ord: usize) -> Vec<(usize, usize)> {
+    let family = Family::moving_averages(MA.0..=MA.1, shared.seq_len());
+    let q = shared.fetch_series(ord).expect("oracle ordinal is live");
     let spec = WireThreshold::Rho(RHO).to_spec();
     let lq = LogicalQuery::range(family, spec).with_engine(EnginePref::Force(EngineChoice::Mt));
-    match shared.execute(&lq, Some(&q)) {
-        Ok((_, PlanOutput::Range(r))) => r.sorted_pairs(),
+    match simshard::gather::execute_timed(shared, &lq, Some(&q)) {
+        Ok((_, PlanOutput::Range(r), _)) => r.sorted_pairs(),
         _ => Vec::new(),
     }
 }
@@ -83,7 +89,7 @@ fn failover_client_survives_chaos_and_promotion() {
         seed_idx.save(&root.join("fidx")).unwrap();
         drop(seed_idx);
 
-        let (shared_p, _) = SharedIndex::open_durable(
+        let (shared_p, _) = open_durable(
             &root.join("idx"),
             &root.join("wal"),
             POOL,
@@ -94,7 +100,7 @@ fn failover_client_survives_chaos_and_promotion() {
 
         // The follower replicates over a clean link (chaos is injected
         // on the client path only) and serves behind its own address.
-        let (shared_f, _) = SharedIndex::open_durable(
+        let (shared_f, _) = open_durable(
             &root.join("fidx"),
             &root.join("fwal"),
             POOL,
@@ -221,9 +227,8 @@ fn failover_client_survives_chaos_and_promotion() {
         // Survival: every acked insert's content is present on the new
         // primary (at-least-once ⇒ content, not counts).
         {
-            let guard = shared_f.read();
-            let live: Vec<Vec<f64>> = (0..guard.len())
-                .filter_map(|ord| guard.fetch_series(ord).ok())
+            let live: Vec<Vec<f64>> = (0..shared_f.len())
+                .filter_map(|ord| shared_f.fetch_series(ord).ok())
                 .map(|ts| ts.values().to_vec())
                 .collect();
             for (i, want) in acked.iter().enumerate() {

@@ -11,11 +11,23 @@ use simserve::client::Client;
 use simserve::protocol::{ErrCode, Request, Response};
 use simserve::repl::{Follower, FollowerOpts};
 use simserve::server::{serve, serve_with, ServerConfig};
+use simshard::ShardedIndex;
 use simwal::FsyncPolicy;
 use std::path::PathBuf;
+use std::sync::Arc;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
 use tseries::TimeSeries;
+
+/// Opens a durable node as a handle its server and follower share.
+fn open_durable(
+    index: &std::path::Path,
+    wal: &std::path::Path,
+    pool: usize,
+    policy: FsyncPolicy,
+) -> Result<(Arc<ShardedIndex>, simwal::ReplayReport), simshard::ShardError> {
+    ShardedIndex::open_durable(index, wal, pool, policy).map(|(i, r)| (Arc::new(i), r))
+}
 
 const SEQ_LEN: usize = 32;
 const POOL: usize = 32;
@@ -58,18 +70,18 @@ fn retry_locked<T, E: std::fmt::Display>(mut open: impl FnMut() -> Result<T, E>)
 
 /// Byte-level state equality (same shape as the replication suite):
 /// identical ordinal space, tombstones, and values per ordinal.
-fn assert_state_identical(a: &SharedIndex, b: &SharedIndex, ctx: &str) {
-    let (ga, gb) = (a.read(), b.read());
-    assert_eq!(ga.len(), gb.len(), "{ctx}: ordinal space diverged");
-    assert_eq!(ga.seq_len(), gb.seq_len(), "{ctx}");
-    let (mut da, mut db) = (ga.deleted_ordinals(), gb.deleted_ordinals());
-    da.sort_unstable();
-    db.sort_unstable();
-    assert_eq!(da, db, "{ctx}: tombstone sets diverged");
-    for ord in 0..ga.len() {
+fn assert_state_identical(a: &ShardedIndex, b: &ShardedIndex, ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: ordinal space diverged");
+    assert_eq!(a.seq_len(), b.seq_len(), "{ctx}");
+    assert_eq!(
+        a.deleted_ordinals(),
+        b.deleted_ordinals(),
+        "{ctx}: tombstone sets diverged"
+    );
+    for ord in 0..a.len() {
         assert_eq!(
-            ga.fetch_series(ord).unwrap().values(),
-            gb.fetch_series(ord).unwrap().values(),
+            a.fetch_series(ord).unwrap().values(),
+            b.fetch_series(ord).unwrap().values(),
             "{ctx}: values diverged at ordinal {ord}"
         );
     }
@@ -116,7 +128,7 @@ fn promote_at_every_frame_boundary_loses_no_acked_write() {
         seed.save(&root.join("fidx")).unwrap();
 
         // The primary serves the full 6-mutation timeline at epoch 1.
-        let (shared_p, _) = SharedIndex::open_durable(
+        let (shared_p, _) = open_durable(
             &root.join("idx"),
             &root.join("wal"),
             POOL,
@@ -128,7 +140,7 @@ fn promote_at_every_frame_boundary_loses_no_acked_write() {
 
         // The follower bootstraps at the base state so all 6 mutations
         // arrive as streamed frames, then acks exactly k of them.
-        let (shared_f, _) = SharedIndex::open_durable(
+        let (shared_f, _) = open_durable(
             &root.join("fidx"),
             &root.join("fwal"),
             POOL,
@@ -150,7 +162,9 @@ fn promote_at_every_frame_boundary_loses_no_acked_write() {
 
         // The oracle applies the same first k mutations in-memory —
         // the exact state the promotion contract must preserve.
-        let oracle = SharedIndex::new(SeqIndex::build(&corpus, IndexConfig::default()).unwrap());
+        let oracle = ShardedIndex::from_shared(SharedIndex::new(
+            SeqIndex::build(&corpus, IndexConfig::default()).unwrap(),
+        ));
         for m in mutations.iter() {
             match m {
                 Mutation::Insert(ts) => {
@@ -206,7 +220,7 @@ fn promote_at_every_frame_boundary_loses_no_acked_write() {
         let ord = insert_on(&mut fc, &post).unwrap();
         oracle.insert_series(&post).unwrap();
         assert_eq!(
-            shared_f.read().fetch_series(ord).unwrap().values(),
+            shared_f.fetch_series(ord).unwrap().values(),
             post.values(),
             "k={k}: post-promotion write landed"
         );
@@ -264,7 +278,7 @@ fn promote_at_every_frame_boundary_loses_no_acked_write() {
         hp.shutdown();
         drop(shared_p);
         let (shared_p2, _) = retry_locked(|| {
-            SharedIndex::open_durable(
+            open_durable(
                 &root.join("idx"),
                 &root.join("wal"),
                 POOL,
@@ -317,7 +331,7 @@ fn promote_rejects_non_followers_and_counts_once() {
     seed.save(&root.join("idx")).unwrap();
     seed.save(&root.join("fidx")).unwrap();
 
-    let (shared_p, _) = SharedIndex::open_durable(
+    let (shared_p, _) = open_durable(
         &root.join("idx"),
         &root.join("wal"),
         POOL,
@@ -342,7 +356,7 @@ fn promote_rejects_non_followers_and_counts_once() {
         "a primary exposes simseq_role 1: {plines:?}"
     );
 
-    let (shared_f, _) = SharedIndex::open_durable(
+    let (shared_f, _) = open_durable(
         &root.join("fidx"),
         &root.join("fwal"),
         POOL,

@@ -12,8 +12,19 @@ use simserve::server::{serve, Backend, ServerConfig};
 use simshard::{ShardConfig, ShardedIndex};
 use simwal::FsyncPolicy;
 use std::path::PathBuf;
+use std::sync::Arc;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
+
+/// Opens a durable node as a handle its server and follower share.
+fn open_durable(
+    index: &std::path::Path,
+    wal: &std::path::Path,
+    pool: usize,
+    policy: FsyncPolicy,
+) -> Result<(Arc<ShardedIndex>, simwal::ReplayReport), simshard::ShardError> {
+    ShardedIndex::open_durable(index, wal, pool, policy).map(|(i, r)| (Arc::new(i), r))
+}
 
 const SEQ_LEN: usize = 32;
 const POOL: usize = 32;
@@ -100,8 +111,7 @@ fn single_backend_crash_recovery_over_the_wire() {
     // Generation 1: serve durable, mutate over the wire, sync, and
     // "crash" (shut down without a checkpoint).
     {
-        let (shared, rep) =
-            SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(2)).unwrap();
+        let (shared, rep) = open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(2)).unwrap();
         assert_eq!(rep.frames, 0);
         let h = serve(shared, &test_config()).unwrap();
         let mut c = Client::connect(h.addr).unwrap();
@@ -142,8 +152,7 @@ fn single_backend_crash_recovery_over_the_wire() {
     // Generation 2: reopen the same directories — the log replays — and
     // the wire-visible state matches the control exactly.
     {
-        let (shared, rep) =
-            retry_locked(|| SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(2)));
+        let (shared, rep) = retry_locked(|| open_durable(&idx, &wal, POOL, FsyncPolicy::EveryN(2)));
         assert_eq!(rep.frames, 4, "all acknowledged mutations replay");
         let h = serve(shared, &test_config()).unwrap();
         let mut c = Client::connect(h.addr).unwrap();
@@ -170,8 +179,7 @@ fn single_backend_crash_recovery_over_the_wire() {
 
     // Generation 3: after the checkpoint, nothing replays.
     {
-        let (shared, rep) =
-            retry_locked(|| SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always));
+        let (shared, rep) = retry_locked(|| open_durable(&idx, &wal, POOL, FsyncPolicy::Always));
         assert_eq!(rep.frames, 0, "the checkpoint absorbed the log");
         assert_eq!(rep.epoch, 2);
         let h = serve(shared, &test_config()).unwrap();
@@ -209,7 +217,7 @@ fn sharded_backend_crash_recovery_over_the_wire() {
 
     {
         let (ix, rec) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
-        assert_eq!(rec.replayed, 0);
+        assert_eq!(rec.frames, 0);
         let h = serve(Backend::from(ix), &test_config()).unwrap();
         let mut c = Client::connect(h.addr).unwrap();
         for (i, ts) in inserts.iter().enumerate() {
@@ -228,8 +236,8 @@ fn sharded_backend_crash_recovery_over_the_wire() {
     {
         let (ix, rec) =
             retry_locked(|| ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always));
-        assert_eq!(rec.replayed, 5, "all acknowledged mutations replay");
-        assert_eq!(rec.dropped, 0);
+        assert_eq!(rec.frames, 5, "all acknowledged mutations replay");
+        assert_eq!(rec.truncated_bytes, 0);
         let h = serve(Backend::from(ix), &test_config()).unwrap();
         let mut c = Client::connect(h.addr).unwrap();
         let info = c.info().unwrap().unwrap();
@@ -245,7 +253,7 @@ fn sharded_backend_crash_recovery_over_the_wire() {
     {
         let (_, rec) =
             retry_locked(|| ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always));
-        assert_eq!(rec.replayed, 0, "the checkpoint absorbed the logs");
+        assert_eq!(rec.frames, 0, "the checkpoint absorbed the logs");
         assert_eq!(rec.epoch, 2);
     }
     let _ = std::fs::remove_dir_all(&root);

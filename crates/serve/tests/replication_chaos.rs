@@ -13,12 +13,23 @@ use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
 use simserve::repl::{Follower, FollowerOpts};
 use simserve::server::{serve, serve_with, ServerConfig, ServerHandle};
+use simshard::ShardedIndex;
 use simwal::FsyncPolicy;
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
+
+/// Opens a durable node as a handle its server and follower share.
+fn open_durable(
+    index: &std::path::Path,
+    wal: &std::path::Path,
+    pool: usize,
+    policy: FsyncPolicy,
+) -> Result<(Arc<ShardedIndex>, simwal::ReplayReport), simshard::ShardError> {
+    ShardedIndex::open_durable(index, wal, pool, policy).map(|(i, r)| (Arc::new(i), r))
+}
 
 const SEQ_LEN: usize = 32;
 const POOL: usize = 32;
@@ -98,7 +109,7 @@ fn rig(name: &str, seed: u64) -> Rig {
         .unwrap()
         .save(&root.join("idx"))
         .unwrap();
-    let (shared_p, _) = SharedIndex::open_durable(
+    let (shared_p, _) = open_durable(
         &root.join("idx"),
         &root.join("wal"),
         POOL,
@@ -118,7 +129,7 @@ fn rig(name: &str, seed: u64) -> Rig {
     )
     .unwrap()
     .unwrap();
-    let shared_f = SharedIndex::new(index);
+    let shared_f = Arc::new(ShardedIndex::from_shared(SharedIndex::new(index)));
     shared_f.note_replica_position(1, 0);
     let follower = Follower::connect(
         &hp.addr.to_string(),

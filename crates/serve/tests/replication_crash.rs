@@ -6,15 +6,26 @@
 //! `poll_once` (one frame) at a time, never on a background thread.
 
 use simquery::prelude::*;
-use simquery::shared::SharedIndex;
 use simserve::client::Client;
 use simserve::protocol::Request;
 use simserve::repl::{Follower, FollowerOpts};
 use simserve::server::{serve, ServerConfig};
+use simshard::ShardedIndex;
 use simwal::FsyncPolicy;
 use std::path::PathBuf;
+use std::sync::Arc;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
+
+/// Opens a durable node as a handle its server and follower share.
+fn open_durable(
+    index: &std::path::Path,
+    wal: &std::path::Path,
+    pool: usize,
+    policy: FsyncPolicy,
+) -> Result<(Arc<ShardedIndex>, simwal::ReplayReport), simshard::ShardError> {
+    ShardedIndex::open_durable(index, wal, pool, policy).map(|(i, r)| (Arc::new(i), r))
+}
 
 const SEQ_LEN: usize = 32;
 const POOL: usize = 32;
@@ -58,18 +69,18 @@ fn retry_locked<T, E: std::fmt::Display>(mut open: impl FnMut() -> Result<T, E>)
 /// Byte-level state equality: same ordinal space, same tombstone set,
 /// same values per ordinal. Stronger than answer parity — a duplicated
 /// or skipped frame cannot hide.
-fn assert_state_identical(a: &SharedIndex, b: &SharedIndex, ctx: &str) {
-    let (ga, gb) = (a.read(), b.read());
-    assert_eq!(ga.len(), gb.len(), "{ctx}: ordinal space diverged");
-    assert_eq!(ga.seq_len(), gb.seq_len(), "{ctx}");
-    let (mut da, mut db) = (ga.deleted_ordinals(), gb.deleted_ordinals());
-    da.sort_unstable();
-    db.sort_unstable();
-    assert_eq!(da, db, "{ctx}: tombstone sets diverged");
-    for ord in 0..ga.len() {
+fn assert_state_identical(a: &ShardedIndex, b: &ShardedIndex, ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: ordinal space diverged");
+    assert_eq!(a.seq_len(), b.seq_len(), "{ctx}");
+    assert_eq!(
+        a.deleted_ordinals(),
+        b.deleted_ordinals(),
+        "{ctx}: tombstone sets diverged"
+    );
+    for ord in 0..a.len() {
         assert_eq!(
-            ga.fetch_series(ord).unwrap().values(),
-            gb.fetch_series(ord).unwrap().values(),
+            a.fetch_series(ord).unwrap().values(),
+            b.fetch_series(ord).unwrap().values(),
             "{ctx}: values diverged at ordinal {ord}"
         );
     }
@@ -98,7 +109,7 @@ fn follower_killed_at_every_frame_boundary_reconverges() {
     let seed = SeqIndex::build(&corpus, IndexConfig::default()).unwrap();
     seed.save(&root.join("idx")).unwrap();
 
-    let (shared_p, _) = SharedIndex::open_durable(
+    let (shared_p, _) = open_durable(
         &root.join("idx"),
         &root.join("wal"),
         POOL,
@@ -122,7 +133,7 @@ fn follower_killed_at_every_frame_boundary_reconverges() {
         .map(|k| {
             let fidx = root.join(format!("fidx{k}"));
             seed.save(&fidx).unwrap();
-            let (shared_f, _) = SharedIndex::open_durable(
+            let (shared_f, _) = open_durable(
                 &fidx,
                 &root.join(format!("fwal{k}")),
                 POOL,
@@ -163,7 +174,7 @@ fn follower_killed_at_every_frame_boundary_reconverges() {
 
         // Generation 2: restart on the same directories and catch up.
         let (shared_f, rep) =
-            retry_locked(|| SharedIndex::open_durable(&fidx, &fwal, POOL, FsyncPolicy::Always));
+            retry_locked(|| open_durable(&fidx, &fwal, POOL, FsyncPolicy::Always));
         assert_eq!(
             rep.frames, k as usize,
             "k={k}: exactly the applied frames replay from the local log"
@@ -211,7 +222,7 @@ fn primary_restart_mid_stream_same_epoch_then_epoch_change() {
         ..Default::default()
     };
 
-    let (shared_f, _) = SharedIndex::open_durable(
+    let (shared_f, _) = open_durable(
         &root.join("fidx"),
         &root.join("fwal"),
         POOL,
@@ -222,7 +233,7 @@ fn primary_restart_mid_stream_same_epoch_then_epoch_change() {
     // Generation 1: 4 mutations; the follower applies only 2 of them
     // before the primary dies.
     let mut f = {
-        let (shared_p, _) = SharedIndex::open_durable(
+        let (shared_p, _) = open_durable(
             &root.join("idx"),
             &root.join("wal"),
             POOL,
@@ -273,7 +284,7 @@ fn primary_restart_mid_stream_same_epoch_then_epoch_change() {
     // ephemeral port) and resumes by frames — no snapshot re-install.
     let shared_p2 = {
         let (shared_p, rep) = retry_locked(|| {
-            SharedIndex::open_durable(
+            open_durable(
                 &root.join("idx"),
                 &root.join("wal"),
                 POOL,
@@ -329,7 +340,7 @@ fn primary_restart_mid_stream_same_epoch_then_epoch_change() {
     drop(f);
     drop(shared_f);
     let (shared_f, _) = retry_locked(|| {
-        SharedIndex::open_durable(
+        open_durable(
             &root.join("fidx"),
             &root.join("fwal"),
             POOL,
@@ -368,7 +379,7 @@ fn fsync_never_primary_crash_cannot_diverge_a_follower() {
         ..Default::default()
     };
 
-    let (shared_f, _) = SharedIndex::open_durable(
+    let (shared_f, _) = open_durable(
         &root.join("fidx"),
         &root.join("fwal"),
         POOL,
@@ -381,7 +392,7 @@ fn fsync_never_primary_crash_cannot_diverge_a_follower() {
     // tail.
     let durable;
     let mut f = {
-        let (shared_p, _) = SharedIndex::open_durable(
+        let (shared_p, _) = open_durable(
             &root.join("idx"),
             &root.join("wal"),
             POOL,
@@ -434,7 +445,7 @@ fn fsync_never_primary_crash_cannot_diverge_a_follower() {
     // frames — so its timeline still covers everything the follower
     // holds — then moves on, reusing the lost LSNs for new writes.
     let (shared_p2, rep) = retry_locked(|| {
-        SharedIndex::open_durable(
+        open_durable(
             &root.join("idx"),
             &root.join("wal"),
             POOL,
@@ -488,7 +499,7 @@ fn ex_standalone_primary_directory_bootstraps_via_snapshot() {
         .unwrap()
         .save(&root.join("idx"))
         .unwrap();
-    let (shared_p, _) = SharedIndex::open_durable(
+    let (shared_p, _) = open_durable(
         &root.join("idx"),
         &root.join("wal"),
         POOL,
@@ -512,7 +523,7 @@ fn ex_standalone_primary_directory_bootstraps_via_snapshot() {
         .save(&root.join("fidx"))
         .unwrap();
     {
-        let (shared_s, _) = SharedIndex::open_durable(
+        let (shared_s, _) = open_durable(
             &root.join("fidx"),
             &root.join("fwal"),
             POOL,
@@ -534,7 +545,7 @@ fn ex_standalone_primary_directory_bootstraps_via_snapshot() {
     // replayed local log leaves applied_lsn=2, but with no REPLICA file
     // that must not count as synced.
     let (shared_f, rep) = retry_locked(|| {
-        SharedIndex::open_durable(
+        open_durable(
             &root.join("fidx"),
             &root.join("fwal"),
             POOL,
@@ -586,7 +597,7 @@ fn from_zero_always_snapshots() {
         .unwrap()
         .save(&root.join("idx"))
         .unwrap();
-    let (shared_p, _) = SharedIndex::open_durable(
+    let (shared_p, _) = open_durable(
         &root.join("idx"),
         &root.join("wal"),
         POOL,

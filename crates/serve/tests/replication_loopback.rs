@@ -7,15 +7,26 @@
 //! must not outlive an applied frame.
 
 use simquery::prelude::*;
-use simquery::shared::SharedIndex;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
 use simserve::repl::{self, Follower, FollowerOpts};
 use simserve::server::{serve, serve_with, ServerConfig};
+use simshard::{ShardConfig, ShardedIndex};
 use simwal::FsyncPolicy;
 use std::path::PathBuf;
+use std::sync::Arc;
 use tseries::random_walk;
 use tseries::rng::SeededRng;
+
+/// Opens a durable node as a handle its server and follower share.
+fn open_durable(
+    index: &std::path::Path,
+    wal: &std::path::Path,
+    pool: usize,
+    policy: FsyncPolicy,
+) -> Result<(Arc<ShardedIndex>, simwal::ReplayReport), simshard::ShardError> {
+    ShardedIndex::open_durable(index, wal, pool, policy).map(|(i, r)| (Arc::new(i), r))
+}
 
 const SEQ_LEN: usize = 32;
 const POOL: usize = 32;
@@ -104,7 +115,7 @@ fn follower_converges_and_serves_identical_reads() {
         .unwrap()
         .save(&root.join("idx"))
         .unwrap();
-    let (shared_p, _) = SharedIndex::open_durable(
+    let (shared_p, _) = open_durable(
         &root.join("idx"),
         &root.join("wal"),
         POOL,
@@ -124,6 +135,7 @@ fn follower_converges_and_serves_identical_reads() {
 
     let (shared_f, mut follower) = repl::bootstrap(
         &hp.addr.to_string(),
+        ShardConfig::default(),
         FollowerOpts {
             wait_ms: 0,
             ..Default::default()
@@ -256,7 +268,7 @@ fn follower_with_seed_index_catches_up_via_snapshot() {
     seed.save(&root.join("fidx")).unwrap();
     drop(seed);
 
-    let (shared_p, _) = SharedIndex::open_durable(
+    let (shared_p, _) = open_durable(
         &root.join("idx"),
         &root.join("wal"),
         POOL,
@@ -272,7 +284,7 @@ fn follower_with_seed_index_catches_up_via_snapshot() {
             .unwrap();
     }
 
-    let shared_f = SharedIndex::open(&root.join("fidx"), POOL).unwrap();
+    let shared_f = Arc::new(ShardedIndex::open(&root.join("fidx"), POOL).unwrap());
     let mut follower = Follower::connect(
         &hp.addr.to_string(),
         shared_f.clone(),
@@ -292,7 +304,7 @@ fn follower_with_seed_index_catches_up_via_snapshot() {
         1,
         "a fresh seed re-handshakes through exactly one snapshot"
     );
-    assert_eq!(shared_f.read().len(), 19);
+    assert_eq!(shared_f.len(), 19);
 
     pc.quit().unwrap();
     hp.shutdown();
@@ -313,7 +325,7 @@ fn plan_cache_on_follower_never_serves_stale_reads() {
         .unwrap()
         .save(&root.join("idx"))
         .unwrap();
-    let (shared_p, _) = SharedIndex::open_durable(
+    let (shared_p, _) = open_durable(
         &root.join("idx"),
         &root.join("wal"),
         POOL,
@@ -325,6 +337,7 @@ fn plan_cache_on_follower_never_serves_stale_reads() {
 
     let (shared_f, mut follower) = repl::bootstrap(
         &hp.addr.to_string(),
+        ShardConfig::default(),
         FollowerOpts {
             wait_ms: 0,
             ..Default::default()

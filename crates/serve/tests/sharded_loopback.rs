@@ -1,7 +1,9 @@
 //! End-to-end tests of the sharded backend over loopback TCP: wire
 //! results identical to the single-index backend, per-shard STATS lines,
-//! the JOIN restriction, and the mutation path.
+//! JOIN on one shard and its restriction on several, and the mutation
+//! path.
 
+use simquery::plan;
 use simquery::prelude::*;
 use simserve::client::Client;
 use simserve::protocol::{EngineKind, ErrCode, QueryParams, Response, WireThreshold};
@@ -162,6 +164,61 @@ fn join_is_rejected_and_mutations_work() {
     assert!(client.delete(ord).unwrap().unwrap());
     assert!(!client.delete(ord).unwrap().unwrap(), "second delete false");
 
+    client.quit().unwrap();
+    handle.shutdown();
+}
+
+/// JOIN on a 1-shard server answers exactly like the plan layer on the
+/// same `SeqIndex`; on 3 shards it keeps the typed refusal.
+#[test]
+fn join_runs_on_one_shard_and_is_refused_on_three() {
+    let c = corpus(40, 37);
+    let index = SeqIndex::build(&c, IndexConfig::default()).unwrap();
+    let threshold = WireThreshold::Rho(0.9);
+    let lq = LogicalQuery::join(Family::moving_averages(4..=10, 64), threshold.to_spec())
+        .with_engine(simserve::server::engine_pref(EngineKind::default()));
+    let (_, out) = plan::run(&index, &StatsRegistry::new(), &lq, None).unwrap();
+    let PlanOutput::Join(want) = out else {
+        panic!("join plan produced a non-join result");
+    };
+    let key = |pairs: Vec<(usize, usize, usize, String)>| {
+        let mut pairs = pairs;
+        pairs.sort();
+        pairs
+    };
+    let want = key(want
+        .matches
+        .iter()
+        .map(|m| (m.seq_a, m.seq_b, m.transform, format!("{:.9}", m.dist)))
+        .collect());
+    assert!(!want.is_empty(), "the fixture must produce pairs");
+
+    let handle = serve(SharedIndex::new(index), &test_config()).unwrap();
+    let mut client = Client::connect(handle.addr).unwrap();
+    let (n, pairs) = client.join((4, 10), threshold).unwrap().unwrap();
+    assert_eq!(n, want.len());
+    let got = key(pairs
+        .iter()
+        .map(|p| (p.a, p.b, p.transform, format!("{:.9}", p.dist)))
+        .collect());
+    assert_eq!(got, want, "1-shard JOIN equals plan::run on the same index");
+    client.quit().unwrap();
+    handle.shutdown();
+
+    let sharded =
+        ShardedIndex::build(&c, ShardConfig::new(3).unwrap(), IndexConfig::default()).unwrap();
+    let handle = serve(Backend::from(sharded), &test_config()).unwrap();
+    let mut client = Client::connect(handle.addr).unwrap();
+    match client.join((4, 10), threshold).unwrap() {
+        Err(Response::Err { code, msg }) => {
+            assert_eq!(code, ErrCode::Query);
+            assert!(
+                msg.contains("JOIN is not supported on a sharded backend"),
+                "{msg}"
+            );
+        }
+        other => panic!("JOIN on 3 shards must fail: {other:?}"),
+    }
     client.quit().unwrap();
     handle.shutdown();
 }

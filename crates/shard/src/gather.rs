@@ -34,7 +34,9 @@
 //! [`QueryError`] — a partial merge is never returned.
 
 use crate::index::ShardedIndex;
-use simquery::plan::{self, LogicalQuery, LogicalVerb, PhysicalPlan, PlanOutput, Planner};
+use simquery::plan::{
+    self, LogicalQuery, LogicalVerb, PhysicalPlan, PlanOutput, Planner, StageTimings,
+};
 use simquery::report::{EngineMetrics, Match, QueryError, QueryResult};
 use std::time::Instant;
 use tseries::TimeSeries;
@@ -72,6 +74,10 @@ fn plan_fanout(
     plan.fanout = shards.len();
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     plan.threads = cores.min(shards.len());
+    if matches!(lq.verb, LogicalVerb::Knn { .. }) {
+        // Bound propagation is inherently sequential; the plan records that.
+        plan.threads = 1;
+    }
     if shards.len() > 1 {
         if let Some(fs) = sharded.stats().family_stats(plan.engine, &lq.family) {
             if fs.queries >= SELECTIVE_MIN_QUERIES
@@ -119,6 +125,43 @@ fn merge_metrics(parts: &[EngineMetrics], wall: std::time::Duration) -> EngineMe
     total
 }
 
+/// The one dispatch point for a logical query — range, kNN and, on a
+/// 1-shard index, JOIN — reporting the plan/execute wall-clock split the
+/// slow-query log records. A 1-shard index's local ordinals are its
+/// global ones, so it runs the plan layer on the shard directly; N > 1
+/// plans the fan-out, then scatters and gathers.
+pub fn execute_timed(
+    sharded: &ShardedIndex,
+    lq: &LogicalQuery,
+    query: Option<&TimeSeries>,
+) -> Result<(PhysicalPlan, PlanOutput, StageTimings), QueryError> {
+    if sharded.shard_count() == 1 {
+        let guard = sharded.shards()[0].read();
+        return plan::run_timed(&guard, sharded.stats(), lq, query);
+    }
+    let start = Instant::now();
+    let plan = plan_fanout(sharded, lq, query)?;
+    let plan_us = micros(start.elapsed());
+    let out = match lq.verb {
+        LogicalVerb::Range => {
+            let query = query.expect("range queries carry a query sequence");
+            PlanOutput::Range(scatter_range(sharded, lq, &plan, query, start)?.0)
+        }
+        LogicalVerb::Knn { .. } => {
+            let query = query.expect("kNN queries carry a query sequence");
+            let (matches, total, _) = scatter_knn(sharded, lq, &plan, query, start)?;
+            PlanOutput::Knn(matches, total)
+        }
+        LogicalVerb::Join => return Err(QueryError::ShardedJoin),
+    };
+    let exec_us = micros(start.elapsed()).saturating_sub(plan_us);
+    Ok((plan, out, StageTimings { plan_us, exec_us }))
+}
+
+fn micros(d: std::time::Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
+}
+
 /// The distributed executor for a planned range query: scatters the
 /// plan's fragment to every shard and merges the exact union, returning
 /// the plan alongside the result and each shard's own metrics.
@@ -130,6 +173,17 @@ pub fn execute_range(
     debug_assert!(matches!(lq.verb, LogicalVerb::Range));
     let start = Instant::now();
     let plan = plan_fanout(sharded, lq, Some(query))?;
+    let (merged, per_shard) = scatter_range(sharded, lq, &plan, query, start)?;
+    Ok((plan, merged, per_shard))
+}
+
+fn scatter_range(
+    sharded: &ShardedIndex,
+    lq: &LogicalQuery,
+    plan: &PhysicalPlan,
+    query: &TimeSeries,
+    start: Instant,
+) -> Result<(QueryResult, Vec<EngineMetrics>), QueryError> {
     let map = sharded.map_snapshot();
     let shards = sharded.shards();
 
@@ -147,17 +201,16 @@ pub fn execute_range(
         if threads <= 1 {
             for (shard, slot) in outcomes.iter_mut().enumerate() {
                 let index = shards[shard].read();
-                *slot = Some(run_fragment(&index, sharded, lq, &plan, query));
+                *slot = Some(run_fragment(&index, sharded, lq, plan, query));
             }
         } else {
             let chunk = shards.len().div_ceil(threads);
-            let (planref, lqref) = (&plan, lq);
             std::thread::scope(|s| {
                 for (t, slots) in outcomes.chunks_mut(chunk).enumerate() {
                     s.spawn(move || {
                         for (i, slot) in slots.iter_mut().enumerate() {
                             let index = shards[t * chunk + i].read();
-                            *slot = Some(run_fragment(&index, sharded, lqref, planref, query));
+                            *slot = Some(run_fragment(&index, sharded, lq, plan, query));
                         }
                     });
                 }
@@ -188,7 +241,7 @@ pub fn execute_range(
         matches,
         metrics: merge_metrics(&per_shard, start.elapsed()),
     };
-    Ok((plan, merged, per_shard))
+    Ok((merged, per_shard))
 }
 
 /// The distributed executor for a planned kNN query: the planner shapes
@@ -199,14 +252,23 @@ pub fn execute_knn(
     lq: &LogicalQuery,
     query: &TimeSeries,
 ) -> Result<(PhysicalPlan, Vec<Match>, EngineMetrics, Vec<EngineMetrics>), QueryError> {
+    let start = Instant::now();
+    let plan = plan_fanout(sharded, lq, Some(query))?;
+    let (top, total, per_shard) = scatter_knn(sharded, lq, &plan, query, start)?;
+    Ok((plan, top, total, per_shard))
+}
+
+fn scatter_knn(
+    sharded: &ShardedIndex,
+    lq: &LogicalQuery,
+    plan: &PhysicalPlan,
+    query: &TimeSeries,
+    start: Instant,
+) -> Result<(Vec<Match>, EngineMetrics, Vec<EngineMetrics>), QueryError> {
     let LogicalVerb::Knn { k } = lq.verb else {
         unreachable!("execute_knn takes a kNN logical query");
     };
     let _span = simobs::trace::span("shard.knn");
-    let start = Instant::now();
-    let mut plan = plan_fanout(sharded, lq, Some(query))?;
-    // Bound propagation is inherently sequential; the plan records that.
-    plan.threads = 1;
     let map = sharded.map_snapshot();
     let shards = sharded.shards();
 
@@ -234,7 +296,7 @@ pub fn execute_knn(
     }
 
     let total = merge_metrics(&per_shard, start.elapsed());
-    Ok((plan, top, total, per_shard))
+    Ok((top, total, per_shard))
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@
 //!   [`ShardConfig`] picks the shard count and a [`PartitionerKind`]
 //!   (hash-by-ordinal default, round-robin, range); the [`ShardMap`]
 //!   records the stable global-ordinal ↔ (shard, local-ordinal) mapping.
-//! - **Storage** ([`index`]): [`ShardedIndex`] builds, persists, reopens,
-//!   and mutates the shard set; an insert write-locks exactly one shard
-//!   while the other N−1 keep serving reads.
+//! - **Storage** ([`index`]): [`ShardedIndex`] — the one index handle of
+//!   the server, the CLI and replication, a single index being its 1-shard
+//!   case — builds, persists, reopens, durably mutates and replicates the
+//!   shard set through one write-ahead log per node; an insert
+//!   write-locks exactly one shard while the other N−1 keep serving reads.
 //! - **Execution** ([`gather`]): range/MT/ST/scan queries scatter to all
 //!   shards on scoped threads and merge exactly; global kNN runs shards
 //!   sequentially, propagating the running k-th distance bound so later
@@ -26,5 +28,5 @@ pub mod index;
 pub mod partition;
 
 pub use cfg::{PartitionerKind, ShardConfig, MAX_SHARDS};
-pub use index::{ShardError, ShardRecovery, ShardedIndex};
+pub use index::{ShardError, ShardedIndex, SnapshotCut};
 pub use partition::{Partitioner, ShardMap};

@@ -10,12 +10,12 @@
 //!
 //! Every frame carries an **LSN** — a log sequence number that is globally
 //! monotone across all shards of one index (allocated from a single
-//! counter under the mutation guard). Single-index logs replay in file
-//! order; sharded recovery merges all per-shard logs by LSN and stops at
-//! the first gap, which restores exactly the acknowledged prefix of the
-//! mutation schedule. `global`/`local` are the global ordinal and the
-//! shard-local ordinal of the affected sequence (equal for single-index
-//! deployments, where the shard is the index).
+//! counter under the mutation guard). A node writes one log whatever its
+//! shard count, in LSN order, so replay in file order restores exactly
+//! the acknowledged prefix of the mutation schedule. `global` is the
+//! global ordinal of the affected sequence; `local` is its position in
+//! the owning shard, with the shard id in the top 16 bits (so it equals
+//! the plain local ordinal — and `global` — on a single index).
 
 use crate::crc32::crc32;
 

@@ -11,8 +11,8 @@
 //!
 //! The crate is deliberately index-agnostic: it knows how to make frames
 //! durable and how to hand them back after a crash, nothing else. The
-//! replay semantics (idempotent apply, cross-shard ordering) live with the
-//! index layers in `simquery::shared` and `simshard::index`.
+//! replay semantics (idempotent apply, shard placement) live with the
+//! index layer in `simshard::index`.
 //!
 //! On-disk layout of a WAL directory:
 //!

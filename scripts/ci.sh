@@ -119,6 +119,13 @@ run_replication() {
         echo "replay: cargo test -p simserve --test replication_crash -- --nocapture"
         return 1
     fi
+    echo "== replication: 4-shard primary, followers at their own shard counts, PROMOTE =="
+    if ! cargo test --offline -p simserve --test sharded_replication -- --nocapture 2>&1 | tee "$log"; then
+        echo
+        echo "replication: FAILED — see output above"
+        echo "replay: cargo test -p simserve --test sharded_replication -- --nocapture"
+        return 1
+    fi
     echo "== replication: faulted follower devices during apply =="
     if ! cargo test --offline -p simserve --test replication_chaos -- --nocapture 2>&1 | tee "$log"; then
         echo

@@ -1,17 +1,16 @@
 //! Seeded crash-point recovery suite: cut the write-ahead log at **every
 //! byte offset**, recover, and assert the index is an **exact prefix** of
 //! the acknowledged mutation schedule — never a wrong answer, never a
-//! panic. Covers the single-index backend and 1/2/4/8-shard backends
-//! (where a missing tail on one shard must also fence off later frames of
-//! the *other* shards, by LSN), half-finished checkpoints, fault plans
-//! armed while replay itself runs, and the advisory directory locks.
+//! panic. Covers the single-index layout and 1/2/4/8-shard layouts (every
+//! node writes one log, whatever its shard count), half-finished
+//! checkpoints, fault plans armed while replay itself runs, and the
+//! advisory directory locks.
 
 use pagestore::{Disk, FaultPlan, FaultyDisk, PageDevice, PlanParams};
 use simquery::index::{DeviceWrap, IndexConfig, SeqIndex};
 use simquery::prelude::*;
 use simquery::report::QueryError;
-use simquery::shared::{DurableError, SharedIndex};
-use simshard::{gather, PartitionerKind, ShardConfig, ShardedIndex};
+use simshard::{gather, PartitionerKind, ShardConfig, ShardError, ShardedIndex};
 use simwal::{decode_frames, FsyncPolicy, HEADER_LEN, LOG_FILE, MANIFEST_FILE};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -48,7 +47,7 @@ fn copy_dir(src: &Path, dst: &Path) {
 }
 
 /// Round-robin keeps every shard non-empty on small corpora and spreads
-/// the schedule's frames across all the logs.
+/// the schedule's frames across all the shards.
 fn rr_config(shards: usize) -> ShardConfig {
     ShardConfig {
         shards,
@@ -137,17 +136,6 @@ fn assert_sharded_state(ix: &ShardedIndex, want: &[(Vec<f64>, bool)], ctx: &str)
     }
 }
 
-fn apply_single(shared: &SharedIndex, ops: &[Op]) {
-    for op in ops {
-        match op {
-            Op::Insert(v) => {
-                shared.insert_series(&TimeSeries::new(v.clone())).unwrap();
-            }
-            Op::Delete(g) => assert!(shared.delete_series(*g).unwrap()),
-        }
-    }
-}
-
 fn apply_sharded(ix: &ShardedIndex, ops: &[Op]) {
     for op in ops {
         match op {
@@ -175,11 +163,11 @@ fn single_index_recovers_exact_prefix_at_every_cut() {
     let ops = schedule(0xBEEF, 6, 10);
     {
         let (shared, rep) =
-            SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Never).expect("clean open");
+            ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Never).expect("clean open");
         assert_eq!(rep.frames, 0);
         assert!(shared.is_durable());
         assert_eq!(shared.wal_epoch(), Some(1));
-        apply_single(&shared, &ops);
+        apply_sharded(&shared, &ops);
         assert!(shared.sync_wal().unwrap());
     }
     let log = std::fs::read(wal.join(LOG_FILE)).unwrap();
@@ -202,7 +190,7 @@ fn single_index_recovers_exact_prefix_at_every_cut() {
         } else {
             decode_frames(&log[HEADER_LEN as usize..cut]).0.len()
         };
-        let (shared, rep) = SharedIndex::open_durable(
+        let (shared, rep) = ShardedIndex::open_durable(
             &case.join("idx"),
             &case.join("wal"),
             POOL,
@@ -211,7 +199,7 @@ fn single_index_recovers_exact_prefix_at_every_cut() {
         .unwrap_or_else(|e| panic!("cut {cut}: recovery errored: {e}"));
         assert_eq!(rep.frames, expect, "cut {cut}: replayed frame count");
         assert_single_state(
-            &shared.read(),
+            &shared.shards()[0].read(),
             &shadow_after(&corpus, &ops[..expect]),
             &format!("cut {cut}"),
         );
@@ -221,11 +209,9 @@ fn single_index_recovers_exact_prefix_at_every_cut() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// For 1/2/4/8 shards: cut each shard's log at every byte offset. The
-/// recovered index must be the longest schedule prefix whose LSNs all
-/// survive — the cut shard's first missing frame fences off every later
-/// frame on the other shards too, and the fenced-off frames are folded
-/// away by the automatic post-recovery checkpoint.
+/// For 1/2/4/8 shards: cut the node's one log at every byte offset. The
+/// recovered index must hold exactly the schedule prefix whose frames
+/// survive intact below the cut, placed on the same shards.
 #[test]
 fn sharded_recovers_exact_prefix_at_every_cut() {
     let corpus = Corpus::generate(CorpusKind::SyntheticWalks, 12, SEQ_LEN, 0x5EED);
@@ -243,84 +229,41 @@ fn sharded_recovers_exact_prefix_at_every_cut() {
         {
             let (ix, rec) = ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Never)
                 .expect("clean open");
-            assert_eq!(rec.replayed, 0);
+            assert_eq!(rec.frames, 0);
             apply_sharded(&ix, &ops);
             assert!(ix.sync_wal().unwrap());
         }
+        let log = std::fs::read(wal.join(LOG_FILE)).unwrap();
+        assert_eq!(
+            decode_frames(&log[HEADER_LEN as usize..]).0.len(),
+            n_ops,
+            "{shards} shards: every mutation is one frame of the one log"
+        );
 
-        // Full per-shard logs and their frame LSNs, for computing the
-        // expected prefix under each cut.
-        let logs: Vec<Vec<u8>> = (0..shards)
-            .map(|s| std::fs::read(wal.join(format!("shard-{s}")).join(LOG_FILE)).unwrap())
-            .collect();
-        let lsns: Vec<Vec<u64>> = logs
-            .iter()
-            .map(|log| {
-                decode_frames(&log[HEADER_LEN as usize..])
-                    .0
-                    .iter()
-                    .map(|op| op.lsn())
-                    .collect()
-            })
-            .collect();
+        for cut in 0..=log.len() {
+            let case = root.join(format!("cut{cut}"));
+            copy_dir(&idx, &case.join("idx"));
+            copy_dir(&wal, &case.join("wal"));
+            std::fs::write(case.join("wal").join(LOG_FILE), &log[..cut]).unwrap();
 
-        for cut_shard in 0..shards {
-            let log = &logs[cut_shard];
-            for cut in 0..=log.len() {
-                let case = root.join(format!("s{cut_shard}c{cut}"));
-                copy_dir(&idx, &case.join("idx"));
-                copy_dir(&wal, &case.join("wal"));
-                let cut_dir = case.join("wal").join(format!("shard-{cut_shard}"));
-                std::fs::write(cut_dir.join(LOG_FILE), &log[..cut]).unwrap();
-
-                // Frames surviving on the cut shard; its first missing
-                // LSN bounds the recoverable prefix (op j has LSN j+1).
-                let surviving = if cut <= HEADER_LEN as usize {
-                    0
-                } else {
-                    decode_frames(&log[HEADER_LEN as usize..cut]).0.len()
-                };
-                let fence = lsns[cut_shard]
-                    .get(surviving)
-                    .copied()
-                    .unwrap_or(n_ops as u64 + 1);
-                let expect = (fence - 1) as usize;
-                // Frames past the fence that still sit intact in some
-                // log get dropped at the gap (the cut shard's lost tail
-                // is gone from disk entirely, so it can't be "dropped").
-                let lost = lsns[cut_shard].len() - surviving;
-                let want_dropped = n_ops - lost - expect;
-
-                let ctx = format!("{shards} shards, shard {cut_shard} cut {cut}");
-                let (ix, rec) = ShardedIndex::open_durable(
-                    &case.join("idx"),
-                    &case.join("wal"),
-                    POOL,
-                    FsyncPolicy::Never,
-                )
-                .unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
-                assert_eq!(rec.replayed, expect, "{ctx}: replayed frame count");
-                assert_eq!(rec.dropped, want_dropped, "{ctx}: dropped frame count");
-                assert_sharded_state(&ix, &shadow_after(&corpus, &ops[..expect]), &ctx);
-                drop(ix);
-
-                // Frames were dropped → the open checkpointed; a second
-                // open must see clean logs and the identical state at a
-                // bumped epoch.
-                if rec.dropped > 0 {
-                    let (again, rec2) = ShardedIndex::open_durable(
-                        &case.join("idx"),
-                        &case.join("wal"),
-                        POOL,
-                        FsyncPolicy::Never,
-                    )
-                    .unwrap_or_else(|e| panic!("{ctx}: reopen errored: {e}"));
-                    assert_eq!(rec2.replayed, 0, "{ctx}: reopen replays nothing");
-                    assert!(rec2.epoch > rec.epoch, "{ctx}: checkpoint bumped the epoch");
-                    assert_sharded_state(&again, &shadow_after(&corpus, &ops[..expect]), &ctx);
-                }
-                std::fs::remove_dir_all(&case).unwrap();
-            }
+            // A cut inside the 16-byte header reads as a fresh, empty log.
+            let expect = if cut <= HEADER_LEN as usize {
+                0
+            } else {
+                decode_frames(&log[HEADER_LEN as usize..cut]).0.len()
+            };
+            let ctx = format!("cut {cut} of the {shards}-shard log");
+            let (ix, rec) = ShardedIndex::open_durable(
+                &case.join("idx"),
+                &case.join("wal"),
+                POOL,
+                FsyncPolicy::Never,
+            )
+            .unwrap_or_else(|e| panic!("{ctx}: recovery errored: {e}"));
+            assert_eq!(rec.frames, expect, "{ctx}: replayed frame count");
+            assert_sharded_state(&ix, &shadow_after(&corpus, &ops[..expect]), &ctx);
+            drop(ix);
+            std::fs::remove_dir_all(&case).unwrap();
         }
         let _ = std::fs::remove_dir_all(&root);
     }
@@ -376,7 +319,6 @@ fn sharded_half_checkpoint_replays_idempotently() {
     )
     .expect("half-checkpoint state recovers");
     assert_eq!(rec.epoch, 1, "the manifest is the epoch authority");
-    assert_eq!(rec.dropped, 0);
     assert_sharded_state(&ix, &shadow_after(&corpus, &ops), "half checkpoint");
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -397,8 +339,9 @@ fn faulted_replay_is_typed_error_or_exact_result() {
         .unwrap();
     let ops = schedule(0xF00D, 8, 12);
     {
-        let (shared, _) = SharedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
-        apply_single(&shared, &ops);
+        let (shared, _) =
+            ShardedIndex::open_durable(&idx, &wal, POOL, FsyncPolicy::Always).unwrap();
+        apply_sharded(&shared, &ops);
     }
     let want = shadow_after(&corpus, &ops);
     let params = PlanParams {
@@ -417,21 +360,21 @@ fn faulted_replay_is_typed_error_or_exact_result() {
         // successful open can be inspected with the plan disarmed.
         let handles: SmuggledDisks = Arc::new(Mutex::new(None));
         let sink = Arc::clone(&handles);
-        let wrap: DeviceWrap = Box::new(move |tree, heap| {
+        let mut wrap: Option<DeviceWrap> = Some(Box::new(move |tree, heap| {
             let tree = Arc::new(FaultyDisk::new(tree));
             let heap = Arc::new(FaultyDisk::new(heap));
             tree.arm(FaultPlan::generate(seed, &params));
             heap.arm(FaultPlan::generate(seed ^ 0x9E37_79B9_7F4A_7C15, &params));
             *sink.lock().unwrap() = Some((Arc::clone(&tree), Arc::clone(&heap)));
             (tree as Arc<dyn PageDevice>, heap as Arc<dyn PageDevice>)
-        });
+        }));
 
-        match SharedIndex::open_durable_with(
+        match ShardedIndex::open_durable_with(
             &case.join("idx"),
             &case.join("wal"),
             POOL,
             FsyncPolicy::Never,
-            wrap,
+            |_| wrap.take(),
         ) {
             Ok((shared, rep)) => {
                 assert_eq!(rep.frames, ops.len(), "seed {seed}: full replay");
@@ -441,12 +384,12 @@ fn faulted_replay_is_typed_error_or_exact_result() {
                 let torn = !tree.torn_pages().is_empty() || !heap.torn_pages().is_empty();
                 if !torn {
                     // Every write landed intact: state must be exact.
-                    assert_single_state(&shared.read(), &want, &format!("seed {seed}"));
+                    assert_single_state(&shared.shards()[0].read(), &want, &format!("seed {seed}"));
                     oks += 1;
                 } else {
                     // Torn pages surface as typed errors on read; pages
                     // that read back must still be exact.
-                    let index = shared.read();
+                    let index = shared.shards()[0].read();
                     assert_eq!(index.len(), want.len(), "seed {seed}: sequence count");
                     for (g, (values, alive)) in want.iter().enumerate() {
                         if !alive {
@@ -464,12 +407,13 @@ fn faulted_replay_is_typed_error_or_exact_result() {
                 }
             }
             Err(
-                DurableError::Query(_)
-                | DurableError::Wal(_)
-                | DurableError::Io(_)
-                | DurableError::Poisoned
-                | DurableError::Fenced { .. }
-                | DurableError::Gap { .. },
+                ShardError::Page(_)
+                | ShardError::Wal(_)
+                | ShardError::Io(_)
+                | ShardError::Config(_)
+                | ShardError::EmptyCorpus
+                | ShardError::EmptyShard(_)
+                | ShardError::PerShardWal(_),
             ) => errs += 1,
         }
         std::fs::remove_dir_all(&case).unwrap();
@@ -483,9 +427,8 @@ fn faulted_replay_is_typed_error_or_exact_result() {
 }
 
 /// The sharded variant: a fault plan armed on ONE shard's devices during
-/// a durable open. No auto-checkpoint may run on a faulted open, so the
-/// dropped frames stay in the logs and a later clean open still recovers
-/// the full prefix.
+/// a durable open. A faulted open never checkpoints, so the frames stay in
+/// the log and a later clean open still recovers the full prefix.
 #[test]
 fn sharded_faulted_replay_keeps_logs_for_the_next_open() {
     let root = fresh_dir("sharded_faulted_replay");
@@ -540,7 +483,7 @@ fn sharded_faulted_replay_keeps_logs_for_the_next_open() {
         );
         match result {
             Ok((ix, rec)) => {
-                assert_eq!(rec.replayed, ops.len(), "seed {seed}: full replay");
+                assert_eq!(rec.frames, ops.len(), "seed {seed}: full replay");
                 let devices = std::mem::take(&mut *torn_flag.lock().unwrap());
                 for d in &devices {
                     d.disarm();
@@ -561,7 +504,7 @@ fn sharded_faulted_replay_keeps_logs_for_the_next_open() {
                     FsyncPolicy::Never,
                 )
                 .unwrap_or_else(|e| panic!("seed {seed}: clean reopen errored: {e}"));
-                assert_eq!(rec.replayed, ops.len(), "seed {seed}: logs were preserved");
+                assert_eq!(rec.frames, ops.len(), "seed {seed}: logs were preserved");
                 assert_sharded_state(&ix, &want, &format!("seed {seed} reopen"));
             }
         }
